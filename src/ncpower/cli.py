@@ -274,12 +274,13 @@ def _cmd_sweep(args) -> int:
             _, _, savings = ring_power(n, volume, params)
             label = ring_classify(n).value
         row = [str(n), label, fmt(savings * 100)]
-        for h in heuristics:
+        if heuristics:
             instance = (generate_full_mesh if kind == "mesh" else generate_ring)(
                 n, volume, params
             )
-            report, _ = _evaluate(instance, h, args.budget)
-            row.append(fmt(report.savings_fraction * 100))
+            for h in heuristics:
+                report, _ = _evaluate(instance, h, args.budget)
+                row.append(fmt(report.savings_fraction * 100))
         rows.append(row)
     _write_csv(args.out, header, rows)
     return 0

@@ -23,9 +23,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from .errors import ContractError, FeasibilityError
+from .matching import max_weight_matching
 from .model import Demand, Instance, Link
 from .power import PowerParams
 from .routing import Path, PathPair, disjoint_pair_candidates, index_routing
@@ -118,19 +117,7 @@ class EncodableGraph:
 
     def clusters(self) -> dict[int, tuple[Demand, ...]]:
         """Demands grouped by destination, sources ascending."""
-        by_dest: dict[int, list[Demand]] = {}
-        for d in self.demands:
-            by_dest.setdefault(d.dest, []).append(d)
-        return {t: tuple(sorted(ds, key=lambda d: d.source)) for t, ds in sorted(by_dest.items())}
-
-    def best_edge(self, d1: Demand, d2: Demand) -> CodedPair | None:
-        """Highest-benefit combo for an ordered demand pair, if any is feasible."""
-        best = None
-        for combo in KIND_COMBOS:
-            pair = self.edges.get((d1, d2, combo[0], combo[1]))
-            if pair is not None and (best is None or pair.benefit > best.benefit):
-                best = pair
-        return best
+        return _clusters(self.demands)
 
 
 @dataclass(frozen=True)
@@ -219,15 +206,6 @@ def _max_weight_pairs_exhaustive(n: int, weights: dict[tuple[int, int], float]) 
     return best_pairs
 
 
-def _max_weight_pairs_blossom(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for (i, j) in sorted(weights):
-        graph.add_edge(i, j, weight=weights[(i, j)])
-    matching = nx.max_weight_matching(graph, maxcardinality=False)
-    return sorted(tuple(sorted(edge)) for edge in matching)
-
-
 def max_weight_pairs(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
     """Max-weight matching on vertices 0..n-1; exhaustive for small n."""
     weights = {key: w for key, w in weights.items() if w > 0}
@@ -235,7 +213,7 @@ def max_weight_pairs(n: int, weights: dict[tuple[int, int], float]) -> list[tupl
         return []
     if n <= EXHAUSTIVE_MATCHING_LIMIT:
         return _max_weight_pairs_exhaustive(n, weights)
-    return _max_weight_pairs_blossom(n, weights)
+    return max_weight_matching(n, weights)
 
 
 # -- selectors ---------------------------------------------------------------

@@ -1,0 +1,498 @@
+"""Maximum-weight matching on a general graph, by Edmonds' blossom algorithm.
+
+The primal-dual method follows Galil, "Efficient algorithms for finding
+maximum matching in graphs", ACM Comput. Surv. 18(1), 1986, in the form of
+Joris van Rantwijk's ``mwmatching`` that networkx ships as
+``max_weight_matching``.  Vertices are ``0..n-1``; non-trivial blossoms get
+integer ids ``n..2n-1``.  Weights sit in an ``n x n`` table, neighbours in
+ascending lists, and labels, mates, duals and blossom links in lists indexed
+by vertex or blossom id, so the inner loops touch no dicts or graph views.
+
+Every choice among equal candidates is made in the order networkx makes it
+for a graph built from ``sorted(weights)``: vertices ascending, neighbours
+ascending, blossoms in creation order, the S-vertex queue last-in first-out.
+Both therefore return the same pairs, not merely matchings of equal weight.
+"""
+from __future__ import annotations
+
+from itertools import chain
+
+from .errors import ContractError
+
+
+def max_weight_matching(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+    """Pairs ``(i, j)``, ``i < j``, ascending, of a maximum-weight matching.
+
+    ``weights`` maps each edge ``(i, j)`` with ``0 <= i < j < n`` to its
+    weight.  When every weight is an ``int`` the dual variables stay integral
+    and the result is checked for dual optimality before it is returned;
+    ContractError is raised if the check fails.
+    """
+    if n == 0:
+        return []
+    edges = sorted(weights)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    # twice each weight: slacks and duals are kept pre-multiplied by two
+    weight2 = [[0] * n for _ in range(n)]
+    maxweight = 0
+    allinteger = True
+    for i, j in edges:
+        w = weights[(i, j)]
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+        weight2[i][j] = weight2[j][i] = 2 * w
+        if w > maxweight:
+            maxweight = w
+        allinteger = allinteger and type(w) is int
+
+    # mate[v] is v's partner, -1 while v is single
+    mate = [-1] * n
+    # label[b] of a top-level blossom b: 0 free, 1 S, 2 T (5 while scanning);
+    # label[v] of a vertex inside a T-blossom is 2 iff v is reachable from an
+    # S-vertex outside it
+    label = [0] * (2 * n)
+    # labeledge[b] = (v, w): the edge through which b got its label, w in b;
+    # None when b's base is single
+    labeledge: list[tuple[int, int] | None] = [None] * (2 * n)
+    # top-level blossom containing each vertex
+    inblossom = list(range(n))
+    blossomparent = [-1] * (2 * n)
+    blossombase = list(range(n)) + [-1] * n
+    # childs[b]: sub-blossoms from the base round the cycle;
+    # blossomedges[b][i] joins childs[b][i] to childs[b][i + 1]
+    childs: list[list[int]] = [[] for _ in range(2 * n)]
+    blossomedges: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    # least-slack edges from a top-level S-blossom to other S-blossoms
+    mybestedges: list[list[tuple[int, int]] | None] = [None] * (2 * n)
+    # bestedge[w] of a free vertex: its least-slack edge from an S-vertex;
+    # bestedge[b] of a top-level S-blossom: its least-slack edge to another
+    # S-blossom
+    bestedge: list[tuple[int, int] | None] = [None] * (2 * n)
+    # 2 * u(v) per vertex and z(b) per blossom
+    dualvar = [maxweight] * n
+    blossomdual = [0] * (2 * n)
+    # live non-trivial blossoms in creation order, and the ids not in use
+    blossoms: list[int] = []
+    unused = list(range(2 * n - 1, n - 1, -1))
+    # allowed[v][w]: edge (v, w) is known to have zero slack in this stage
+    allowed: list[list[bool]] = []
+    queue: list[int] = []
+
+    def slack(v: int, w: int):
+        return dualvar[v] + dualvar[w] - weight2[v][w]
+
+    def leaves(b: int) -> list[int]:
+        out = []
+        stack = list(childs[b])
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(childs[t])
+            else:
+                out.append(t)
+        return out
+
+    def assign_label(w: int, t: int, v: int):
+        # label the top-level blossom of w with t, reached from v (-1: none)
+        b = inblossom[w]
+        label[w] = label[b] = t
+        labeledge[w] = labeledge[b] = (v, w) if v != -1 else None
+        bestedge[w] = bestedge[b] = None
+        if t == 1:
+            if b >= n:
+                queue.extend(leaves(b))
+            else:
+                queue.append(b)
+        else:
+            # a T-blossom's base is its only vertex with an outside mate
+            base = blossombase[b]
+            assign_label(mate[base], 1, base)
+
+    def scan_blossom(v: int, w: int) -> int:
+        # base of the blossom closed by edge (v, w), or -1 for an augmenting path
+        path = []
+        base = -1
+        while v != -1:
+            b = inblossom[v]
+            if label[b] & 4:
+                base = blossombase[b]
+                break
+            path.append(b)
+            label[b] = 5
+            if labeledge[b] is None:
+                v = -1
+            else:
+                v = labeledge[b][0]
+                v = labeledge[inblossom[v]][0]
+            if w != -1:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return base
+
+    def add_blossom(base: int, v: int, w: int):
+        bb = inblossom[base]
+        bv = inblossom[v]
+        bw = inblossom[w]
+        b = unused.pop()
+        blossoms.append(b)
+        blossombase[b] = base
+        blossomparent[b] = -1
+        blossomparent[bb] = b
+        path = childs[b] = []
+        edgs = blossomedges[b] = [(v, w)]
+        while bv != bb:
+            blossomparent[bv] = b
+            path.append(bv)
+            edgs.append(labeledge[bv])
+            v = labeledge[bv][0]
+            bv = inblossom[v]
+        path.append(bb)
+        path.reverse()
+        edgs.reverse()
+        while bw != bb:
+            blossomparent[bw] = b
+            path.append(bw)
+            edgs.append((labeledge[bw][1], labeledge[bw][0]))
+            w = labeledge[bw][0]
+            bw = inblossom[w]
+        label[b] = 1
+        labeledge[b] = labeledge[bb]
+        blossomdual[b] = 0
+        for v in leaves(b):
+            if label[inblossom[v]] == 2:
+                # a T-vertex inside the new S-blossom turns S
+                queue.append(v)
+            inblossom[v] = b
+        bestedgeto: dict[int, tuple[int, int]] = {}
+        for bv in path:
+            if bv >= n:
+                if mybestedges[bv] is not None:
+                    nblist = mybestedges[bv]
+                    mybestedges[bv] = None
+                else:
+                    nblist = [(v, w) for v in leaves(bv) for w in adjacency[v]]
+            else:
+                nblist = [(bv, w) for w in adjacency[bv]]
+            for k in nblist:
+                i, j = k
+                if inblossom[j] == b:
+                    i, j = j, i
+                bj = inblossom[j]
+                if (
+                    bj != b
+                    and label[bj] == 1
+                    and (bj not in bestedgeto or slack(i, j) < slack(*bestedgeto[bj]))
+                ):
+                    bestedgeto[bj] = k
+            bestedge[bv] = None
+        mybestedges[b] = list(bestedgeto.values())
+        mybestedge = None
+        mybestslack = 0
+        for k in mybestedges[b]:
+            kslack = slack(*k)
+            if mybestedge is None or kslack < mybestslack:
+                mybestedge = k
+                mybestslack = kslack
+        bestedge[b] = mybestedge
+
+    def forget_blossom(b: int):
+        label[b] = 0
+        labeledge[b] = None
+        bestedge[b] = None
+        mybestedges[b] = None
+        blossombase[b] = -1
+        blossomparent[b] = -1
+        blossoms.remove(b)
+        unused.append(b)
+
+    def relabel_expanded_t_blossom(b: int):
+        # start at the sub-blossom through which b got its label and relabel
+        # sub-blossoms round the even-length side until the base
+        entrychild = inblossom[labeledge[b][1]]
+        sub = childs[b]
+        edgs = blossomedges[b]
+        j = sub.index(entrychild)
+        if j & 1:
+            j -= len(sub)
+            jstep = 1
+        else:
+            jstep = -1
+        v, w = labeledge[b]
+        while j != 0:
+            if jstep == 1:
+                p, q = edgs[j]
+            else:
+                q, p = edgs[j - 1]
+            label[w] = 0
+            label[q] = 0
+            assign_label(w, 2, v)
+            allowed[p][q] = allowed[q][p] = True
+            j += jstep
+            if jstep == 1:
+                v, w = edgs[j]
+            else:
+                w, v = edgs[j - 1]
+            allowed[v][w] = allowed[w][v] = True
+            j += jstep
+        # the base T-sub-blossom is relabeled without stepping to its mate
+        bw = sub[j]
+        label[w] = label[bw] = 2
+        labeledge[w] = labeledge[bw] = (v, w)
+        bestedge[bw] = None
+        j += jstep
+        while sub[j] != entrychild:
+            # a sub-blossom holding a vertex reachable from outside turns T
+            bv = sub[j]
+            if label[bv] == 1:
+                j += jstep
+                continue
+            if bv >= n:
+                for v in leaves(bv):
+                    if label[v]:
+                        break
+            else:
+                v = bv
+            if label[v]:
+                label[v] = 0
+                label[mate[blossombase[bv]]] = 0
+                assign_label(v, 2, labeledge[v][0])
+            j += jstep
+
+    def expand_blossom(b: int, endstage: bool):
+        # at the end of a stage, zero-dual sub-blossoms are expanded as well;
+        # they are disjoint, so the order in which they are expanded is free
+        stack = [b]
+        while stack:
+            b = stack.pop()
+            for s in childs[b]:
+                blossomparent[s] = -1
+                if s < n:
+                    inblossom[s] = s
+                elif endstage and blossomdual[s] == 0:
+                    stack.append(s)
+                else:
+                    for v in leaves(s):
+                        inblossom[v] = s
+            if not endstage and label[b] == 2:
+                relabel_expanded_t_blossom(b)
+            forget_blossom(b)
+
+    def augment_blossom(b: int, v: int):
+        # swap matched and unmatched edges on the path in b from v to the
+        # base; sub-blossoms are handled depth first, as the recursion in the
+        # reference does, through a stack of generators
+        def recurse(b: int, v: int):
+            t = v
+            while blossomparent[t] != b:
+                t = blossomparent[t]
+            if t >= n:
+                yield t, v
+            sub = childs[b]
+            edgs = blossomedges[b]
+            i = j = sub.index(t)
+            if i & 1:
+                j -= len(sub)
+                jstep = 1
+            else:
+                jstep = -1
+            while j != 0:
+                j += jstep
+                t = sub[j]
+                if jstep == 1:
+                    w, x = edgs[j]
+                else:
+                    x, w = edgs[j - 1]
+                if t >= n:
+                    yield t, w
+                j += jstep
+                t = sub[j]
+                if t >= n:
+                    yield t, x
+                mate[w] = x
+                mate[x] = w
+            childs[b] = sub[i:] + sub[:i]
+            blossomedges[b] = edgs[i:] + edgs[:i]
+            blossombase[b] = blossombase[childs[b][0]]
+
+        stack = [recurse(b, v)]
+        while stack:
+            for args in stack[-1]:
+                stack.append(recurse(*args))
+                break
+            else:
+                stack.pop()
+
+    def augment_matching(v: int, w: int):
+        # augment along the path through S-vertices v and w to two single vertices
+        for s, j in ((v, w), (w, v)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    augment_blossom(bs, s)
+                mate[s] = j
+                if labeledge[bs] is None:
+                    break
+                t = labeledge[bs][0]
+                bt = inblossom[t]
+                s, j = labeledge[bt]
+                if bt >= n:
+                    augment_blossom(bt, j)
+                mate[j] = s
+
+    def verify_optimum():
+        if min(dualvar) < 0 or any(blossomdual[b] < 0 for b in blossoms):
+            raise ContractError("max-weight matching: negative dual variable")
+        # each vertex's blossoms, outermost first
+        nesting = []
+        for v in range(n):
+            chain_v = [v]
+            while blossomparent[chain_v[-1]] != -1:
+                chain_v.append(blossomparent[chain_v[-1]])
+            chain_v.reverse()
+            nesting.append(chain_v)
+        for i, j in edges:
+            s = dualvar[i] + dualvar[j] - weight2[i][j]
+            for bi, bj in zip(nesting[i], nesting[j]):
+                if bi != bj:
+                    break
+                s += 2 * blossomdual[bi]
+            if s < 0:
+                raise ContractError(f"max-weight matching: edge ({i}, {j}) has negative slack")
+            if (mate[i] == j or mate[j] == i) and not (mate[i] == j and mate[j] == i and s == 0):
+                raise ContractError(f"max-weight matching: matched edge ({i}, {j}) is not tight")
+        for v in range(n):
+            if mate[v] == -1 and dualvar[v] != 0:
+                raise ContractError(f"max-weight matching: single vertex {v} has nonzero dual")
+        for b in blossoms:
+            if blossomdual[b] > 0:
+                if len(blossomedges[b]) % 2 != 1 or any(
+                    mate[i] != j or mate[j] != i for i, j in blossomedges[b][1::2]
+                ):
+                    raise ContractError(
+                        f"max-weight matching: blossom {b} with positive dual is not full"
+                    )
+
+    # each stage finds one augmenting path, or proves the matching optimal
+    while True:
+        label[:] = [0] * (2 * n)
+        labeledge[:] = [None] * (2 * n)
+        bestedge[:] = [None] * (2 * n)
+        for b in blossoms:
+            mybestedges[b] = None
+        allowed[:] = [[False] * n for _ in range(n)]
+        queue.clear()
+
+        for v in range(n):
+            if mate[v] == -1 and label[inblossom[v]] == 0:
+                assign_label(v, 1, -1)
+
+        augmented = False
+        while True:
+            # grow alternating trees until every reachable vertex is labeled
+            while queue and not augmented:
+                v = queue.pop()
+                dual_v = dualvar[v]
+                weight2_v = weight2[v]
+                allowed_v = allowed[v]
+                # only add_blossom moves v to another top-level blossom
+                bv = inblossom[v]
+                for w in adjacency[v]:
+                    bw = inblossom[w]
+                    if bv == bw:
+                        continue
+                    if not allowed_v[w]:
+                        kslack = dual_v + dualvar[w] - weight2_v[w]
+                        if kslack <= 0:
+                            allowed_v[w] = allowed[w][v] = True
+                    if allowed_v[w]:
+                        if label[bw] == 0:
+                            # w is free: label it T and its mate S
+                            assign_label(w, 2, v)
+                        elif label[bw] == 1:
+                            base = scan_blossom(v, w)
+                            if base != -1:
+                                add_blossom(base, v, w)
+                                bv = inblossom[v]
+                            else:
+                                augment_matching(v, w)
+                                augmented = True
+                                break
+                        elif label[w] == 0:
+                            # w lies inside a T-blossom and is now reached
+                            label[w] = 2
+                            labeledge[w] = (v, w)
+                    elif label[bw] == 1:
+                        best = bestedge[bv]
+                        if best is None or kslack < slack(*best):
+                            bestedge[bv] = (v, w)
+                    elif label[w] == 0:
+                        best = bestedge[w]
+                        if best is None or kslack < slack(*best):
+                            bestedge[w] = (v, w)
+
+            if augmented:
+                break
+
+            # no augmenting path on tight edges: move the duals by delta
+            # delta1: the least vertex dual
+            deltatype = 1
+            delta = min(dualvar)
+            deltaedge = None
+            deltablossom = -1
+            # delta2: least slack of an edge from an S-vertex to a free vertex
+            for v in range(n):
+                if label[inblossom[v]] == 0 and bestedge[v] is not None:
+                    d = slack(*bestedge[v])
+                    if d < delta:
+                        delta = d
+                        deltatype = 2
+                        deltaedge = bestedge[v]
+            # delta3: half the least slack of an edge between two S-blossoms
+            for b in chain(range(n), blossoms):
+                if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] is not None:
+                    kslack = slack(*bestedge[b])
+                    d = kslack // 2 if allinteger else kslack / 2.0
+                    if d < delta:
+                        delta = d
+                        deltatype = 3
+                        deltaedge = bestedge[b]
+            # delta4: the least dual of a top-level T-blossom
+            for b in blossoms:
+                if blossomparent[b] == -1 and label[b] == 2 and blossomdual[b] < delta:
+                    delta = blossomdual[b]
+                    deltatype = 4
+                    deltablossom = b
+
+            for v in range(n):
+                if label[inblossom[v]] == 1:
+                    dualvar[v] -= delta
+                elif label[inblossom[v]] == 2:
+                    dualvar[v] += delta
+            for b in blossoms:
+                if blossomparent[b] == -1:
+                    if label[b] == 1:
+                        blossomdual[b] += delta
+                    elif label[b] == 2:
+                        blossomdual[b] -= delta
+
+            if deltatype == 1:
+                break
+            elif deltatype in (2, 3):
+                v, w = deltaedge
+                allowed[v][w] = allowed[w][v] = True
+                queue.append(v)
+            else:
+                expand_blossom(deltablossom, False)
+
+        if not augmented:
+            break
+
+        # end of stage: expand every top-level S-blossom whose dual is zero
+        for b in list(blossoms):
+            if b in blossoms and blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
+                expand_blossom(b, True)
+
+    if allinteger:
+        verify_optimum()
+    return [(v, mate[v]) for v in range(n) if mate[v] > v]

@@ -12,9 +12,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coding import KIND_COMBOS, CodedPair, CodingAssignment, PathKind, build_encodable_graph
+from .coding import (
+    KIND_COMBOS,
+    CodedPair,
+    CodingAssignment,
+    PathKind,
+    _clusters,
+    build_encodable_graph,
+)
 from .errors import OracleGuardError
-from .model import Demand, Instance
+from .model import Instance
 from .power import eval_with_coding
 from .routing import PathPair, disjoint_pair_candidates, index_routing, route_instance
 
@@ -149,12 +156,7 @@ def optimal_joint(instance: Instance, candidate_budget: int = 8) -> OracleResult
     chosen: list[CodedPair] = []
     explored = 0
 
-    by_dest: dict[int, list[Demand]] = {}
-    for d in instance.demands:
-        by_dest.setdefault(d.dest, []).append(d)
-
-    for dest in sorted(by_dest):
-        demands = sorted(by_dest[dest], key=lambda d: d.source)
+    for demands in _clusters(instance.demands).values():
         n = len(demands)
         cluster_pools = [pools[d] for d in demands]
 

@@ -107,6 +107,18 @@ def test_repro_is_deterministic():
     assert first.returncode == second.returncode == 0
 
 
+def test_cli_import_leaves_networkx_out():
+    # networkx is a test-only reference; the program itself must not load it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ncpower.cli; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_usage_error_exit_2():
     proc = run_cli("analyze", "--gen", "mesh:5", "--heuristic", "bogus")
     assert proc.returncode == 2

@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 from conftest import DATA_DIR, random_survivable_instance
 
+import ncpower.coding as coding
 from ncpower.coding import (
     COMBO_NAMES,
     KIND_COMBOS,
@@ -22,7 +23,8 @@ from ncpower.coding import (
     _max_weight_pairs_exhaustive,
 )
 from ncpower.errors import ContractError, FeasibilityError
-from ncpower.model import Demand, generate_full_mesh, generate_ring, load_instance
+from ncpower.matching import max_weight_matching
+from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
 from ncpower.power import PowerParams, eval_with_coding
 from ncpower.routing import Path, route_instance
 
@@ -147,6 +149,37 @@ def test_exhaustive_matching_agrees_with_blossom():
             total_mine = sum(weights[e] for e in mine)
             total_ref = sum(weights[tuple(sorted(e))] for e in reference)
             assert total_mine == pytest.approx(total_ref, abs=1e-9)
+
+
+def _networkx_pairs(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    for (i, j) in sorted(weights):
+        graph.add_edge(i, j, weight=weights[(i, j)])
+    return sorted(tuple(sorted(e)) for e in nx.max_weight_matching(graph))
+
+
+def test_matching_returns_networkx_pairs(monkeypatch):
+    # the same pairs, not only the same total, so tie-breaks match as well;
+    # the first case is one 47-demand cluster of the uniform 48-ring as osh
+    # weighs it
+    ring = generate_ring(48, 20.0)
+    inst = Instance(ring.topology, tuple(d for d in ring.demands if d.dest == 1), ring.power)
+    cases = []
+    monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append((n, weights)) or [])
+    select_pairs_osh(inst, route_instance(inst))
+    assert [n for n, _ in cases] == [47]
+    assert all(type(w) is int for w in cases[0][1].values())
+
+    rng = random.Random(2024)
+    for n in range(2, 41):
+        for density in (0.2, 0.9):
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            ties = {e: rng.randint(1, 3) for e in edges}
+            hops = {e: rng.choice((10.0, 20.0, 40.0)) * rng.randint(1, 8) for e in edges}
+            cases += [(n, ties), (n, hops)]
+    for n, weights in cases:
+        assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
 
 
 def test_matching_tie_break_prefers_lowest_indices():
