@@ -45,22 +45,28 @@ HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 # bounds command reports assignment-free bounds and closed forms only
 BOUNDS_EVAL_DEMAND_LIMIT = 20_000
 
+# every volume of an analyze --sweep is a full instance to route and select
+SWEEP_POINT_LIMIT = 10_000
+
 
 def fmt(value: float) -> str:
     """Six significant digits, the precision used in every table we emit."""
     return f"{value:.6g}"
 
 
-def _parse_gen(spec: str, volume: float, power: PowerParams) -> Instance:
+def _parse_gen(spec: str) -> tuple[str, int]:
+    """``mesh:N`` or ``ring:N`` as ``(kind, N)``."""
     kind, _, size = spec.partition(":")
-    builders = {"mesh": generate_full_mesh, "ring": generate_ring}
-    if kind not in builders or not size:
+    if kind not in ("mesh", "ring") or not size:
         raise InstanceError(f"generator spec {spec!r} is not mesh:N or ring:N")
     try:
-        n = int(size)
+        return kind, int(size)
     except ValueError:
         raise InstanceError(f"generator size {size!r} is not an integer") from None
-    return builders[kind](n, volume, power)
+
+
+def _generate(kind: str, n: int, volume: float, power: PowerParams) -> Instance:
+    return (generate_full_mesh if kind == "mesh" else generate_ring)(n, volume, power)
 
 
 def _parse_power(text: str | None) -> PowerParams:
@@ -91,7 +97,8 @@ def _load_file(path: str, volume: float | None, power_text: str | None) -> Insta
 
 def _build_instance(args, volume: float | None) -> Instance:
     if args.gen:
-        return _parse_gen(args.gen, 20.0 if volume is None else volume, _parse_power(args.power))
+        power = _parse_power(args.power)
+        return _generate(*_parse_gen(args.gen), 20.0 if volume is None else volume, power)
     return _load_file(args.instance, volume, args.power)
 
 
@@ -132,6 +139,8 @@ def _sweep_volumes(spec: str) -> list[float]:
         raise InstanceError(f"--sweep {spec!r}: values must be numbers") from None
     if step <= 0 or stop < start:
         raise InstanceError("--sweep needs step > 0 and stop >= start")
+    if (stop - start) / step + 1 > SWEEP_POINT_LIMIT:
+        raise InstanceError(f"--sweep {spec!r} spans more than {SWEEP_POINT_LIMIT} volumes")
     values = []
     v = start
     while v <= stop + 1e-9:
@@ -201,7 +210,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    instance = _build_instance(args, args.volume)
+    if args.gen:
+        params = _parse_power(args.power)
+        kind, n = _parse_gen(args.gen)
+        volume = 20.0 if args.volume is None else args.volume
+        instance = _generate(kind, n, volume, params)
+    else:
+        instance = _load_file(args.instance, args.volume, args.power)
     if len(instance.demands) <= BOUNDS_EVAL_DEMAND_LIMIT:
         report, selection = _evaluate(instance, args.heuristic, args.budget)
         bounds = bound_nc(instance, selection.assignment)
@@ -221,10 +236,6 @@ def _cmd_bounds(args) -> int:
             f"{BOUNDS_EVAL_DEMAND_LIMIT}; bounds assume no pairing)"
         )
     if args.gen:
-        kind, _, size = args.gen.partition(":")
-        n = int(size)
-        volume = 20.0 if args.volume is None else args.volume
-        params = _parse_power(args.power)
         if kind == "mesh":
             conv, coded, savings = mesh_power(n, volume, params)
             label = "odd" if n % 2 else "even"
@@ -275,9 +286,7 @@ def _cmd_sweep(args) -> int:
             label = ring_classify(n).value
         row = [str(n), label, fmt(savings * 100)]
         if heuristics:
-            instance = (generate_full_mesh if kind == "mesh" else generate_ring)(
-                n, volume, params
-            )
+            instance = _generate(kind, n, volume, params)
             for h in heuristics:
                 report, _ = _evaluate(instance, h, args.budget)
                 row.append(fmt(report.savings_fraction * 100))

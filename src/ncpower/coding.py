@@ -6,14 +6,17 @@ two flows replaces the smaller one, saving min(V1, V2) Gbps there.  Selection
 is a max-weight matching problem per destination cluster (a demand can join at
 most one coded pair), over the four working/protection kind combinations.
 
-Two selector families are provided:
+Both selectors share one body.  ``select_pairs_fixed`` keeps the given
+routing and a single kind combo, so each demand's pool is just its own pair.
+``select_pairs_osh`` searches all four combos and lets each matched demand
+re-route among its equal-cost disjoint-pair candidates.  Because candidates
+all have the minimum total hop count, the uncoded power term is invariant and
+the per-pair benefit decomposes, so a per-cluster max-weight matching over
+per-pair-maximised weights is exactly optimal on this search space.
 
-* ``select_pairs_fixed`` keeps the given routing and a single kind combo.
-* ``select_pairs_osh`` searches all four combos and may re-route each matched
-  demand among its equal-cost disjoint-pair candidates.  Because candidates
-  all have the minimum total hop count, the uncoded power term is invariant
-  and the per-pair benefit decomposes, so a per-cluster max-weight matching
-  over per-pair-maximised weights is exactly optimal on this search space.
+``build_encodable_graph`` lists every feasible coded pair of a fixed routing
+through ``pair_benefit``; the matching oracle scores pairs with it, apart
+from the selectors' own scoring.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ContractError, FeasibilityError
-from .matching import max_weight_matching
+from .matching import exhaustive_matching, max_weight_matching
 from .model import Demand, Instance, Link
 from .power import PowerParams
 from .routing import Path, PathPair, disjoint_pair_candidates, index_routing
@@ -176,43 +179,17 @@ def _clusters(demands: Sequence[Demand]) -> dict[int, tuple[Demand, ...]]:
 # -- max-weight matching -----------------------------------------------------
 
 
-def _max_weight_pairs_exhaustive(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
-    partners: dict[int, list[int]] = {i: [] for i in range(n)}
-    for (i, j) in sorted(weights):
-        partners[i].append(j)
-
-    best_total = 0.0
-    best_pairs: list[tuple[int, int]] = []
-
-    def walk(i: int, used: int, total: float, chosen: list[tuple[int, int]]):
-        nonlocal best_total, best_pairs
-        while i < n and used >> i & 1:
-            i += 1
-        if i == n:
-            if total > best_total:
-                best_total = total
-                best_pairs = list(chosen)
-            return
-        for j in partners[i]:
-            if not used >> j & 1:
-                chosen.append((i, j))
-                walk(i + 1, used | 1 << i | 1 << j, total + weights[(i, j)], chosen)
-                chosen.pop()
-        walk(i + 1, used | 1 << i, total, chosen)
-
-    # pairing is explored before skipping, so among equal-benefit matchings the
-    # first (lexicographically smallest) one is kept
-    walk(0, 0, 0.0, [])
-    return best_pairs
-
-
 def max_weight_pairs(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
-    """Max-weight matching on vertices 0..n-1; exhaustive for small n."""
+    """Max-weight matching on vertices 0..n-1; exhaustive for small n.
+
+    The exhaustive search keeps the lexicographically first of equal-weight
+    matchings; the blossom breaks ties as networkx does.
+    """
     weights = {key: w for key, w in weights.items() if w > 0}
     if not weights:
         return []
     if n <= EXHAUSTIVE_MATCHING_LIMIT:
-        return _max_weight_pairs_exhaustive(n, weights)
+        return exhaustive_matching(n, weights)[0]
     return max_weight_matching(n, weights)
 
 
@@ -221,31 +198,6 @@ def max_weight_pairs(n: int, weights: dict[tuple[int, int], float]) -> list[tupl
 
 def _uniform_volume(demands: Sequence[Demand]) -> bool:
     return len({d.volume for d in demands}) <= 1
-
-
-def select_pairs_fixed(
-    instance: Instance,
-    routing: Iterable[PathPair],
-    combo: tuple[PathKind, PathKind],
-) -> SelectionResult:
-    """Best matching for a single kind combo on the given routing (no re-routing)."""
-    routing = tuple(routing)
-    graph = build_encodable_graph(instance, routing, (combo,))
-    uniform = _uniform_volume(instance.demands)
-    chosen: list[CodedPair] = []
-    for demands in graph.clusters().values():
-        weights: dict[tuple[int, int], float] = {}
-        for (i, d1), (j, d2) in itertools.combinations(enumerate(demands), 2):
-            pair = graph.edges.get((d1, d2, combo[0], combo[1]))
-            if pair is not None:
-                # integral weights keep the matching exact for uniform volumes
-                weights[(i, j)] = (
-                    pair.shared_hops if uniform
-                    else min(d1.volume, d2.volume) * pair.shared_hops
-                )
-        for i, j in max_weight_pairs(len(demands), weights):
-            chosen.append(graph.edges[(demands[i], demands[j], combo[0], combo[1])])
-    return SelectionResult(CodingAssignment(tuple(chosen)), routing)
 
 
 def _kind_link_sets(pool: Sequence[PathPair], kind: PathKind) -> list[tuple[frozenset[Link], int]]:
@@ -258,37 +210,26 @@ def _kind_link_sets(pool: Sequence[PathPair], kind: PathKind) -> list[tuple[froz
     return [(links, idx) for links, idx in seen.items()]
 
 
-def select_pairs_osh(
+def _select(
     instance: Instance,
-    routing: Iterable[PathPair],
-    candidate_budget: int = 8,
+    routing: dict[Demand, PathPair],
+    combos: Sequence[tuple[PathKind, PathKind]],
+    pools: dict[Demand, list[PathPair]],
 ) -> SelectionResult:
-    """Joint pairing/routing search over all kind combos (the strongest heuristic).
+    """Per-cluster max-weight matching over per-pair-maximised weights.
 
-    Per cluster, the weight of a demand pair is the best benefit over the two
-    demands' candidate pools and the four kind combos; a max-weight matching
-    then fixes the pairs, and matched demands adopt their best candidates.
-    Unmatched demands keep the caller's routing untouched.
+    A demand pair weighs its most shared links over the two demands' pools
+    and ``combos``; the first maximum in combo, then pool order, wins.
+    Matched demands adopt the candidates of their pair's maximum; unmatched
+    demands keep ``routing``.  The result lists demands in instance order.
     """
-    routing = tuple(routing)
-    by_demand = index_routing(instance, routing)
-    topo = instance.topology
     uniform = _uniform_volume(instance.demands)
-
-    pools: dict[Demand, list[PathPair]] = {}
-    for d in instance.demands:
-        pool = disjoint_pair_candidates(topo, d, candidate_budget)
-        base = by_demand[d]
-        if base not in pool and base.total_hops == pool[0].total_hops:
-            pool.append(base)  # caller's pair competes when it is also optimal
-        pools[d] = pool
-
     kinds: dict[tuple[Demand, PathKind], list[tuple[frozenset[Link], int]]] = {}
     for d, pool in pools.items():
         for kind in (_W, _P):
             kinds[(d, kind)] = _kind_link_sets(pool, kind)
 
-    new_routing = dict(by_demand)
+    new_routing = dict(routing)
     chosen: list[CodedPair] = []
     for demands in _clusters(instance.demands).values():
         weights: dict[tuple[int, int], float] = {}
@@ -296,7 +237,7 @@ def select_pairs_osh(
         for (i, d1), (j, d2) in itertools.combinations(enumerate(demands), 2):
             best_shared = 0
             best = None
-            for combo in KIND_COMBOS:
+            for combo in combos:
                 for links1, idx1 in kinds[(d1, combo[0])]:
                     for links2, idx2 in kinds[(d2, combo[1])]:
                         shared = links1 & links2
@@ -305,6 +246,7 @@ def select_pairs_osh(
                             best = (idx1, idx2, combo, shared)
             if best is not None:
                 picks[(i, j)] = best
+                # integral weights keep the matching exact for uniform volumes
                 weights[(i, j)] = (
                     best_shared if uniform else min(d1.volume, d2.volume) * best_shared
                 )
@@ -320,3 +262,37 @@ def select_pairs_osh(
 
     final = tuple(new_routing[d] for d in instance.demands)
     return SelectionResult(CodingAssignment(tuple(chosen)), final)
+
+
+def select_pairs_fixed(
+    instance: Instance,
+    routing: Iterable[PathPair],
+    combo: tuple[PathKind, PathKind],
+) -> SelectionResult:
+    """Best matching for a single kind combo on the given routing (no re-routing)."""
+    by_demand = index_routing(instance, routing)
+    pools = {d: [pair] for d, pair in by_demand.items()}
+    return _select(instance, by_demand, (combo,), pools)
+
+
+def select_pairs_osh(
+    instance: Instance,
+    routing: Iterable[PathPair],
+    candidate_budget: int = 8,
+) -> SelectionResult:
+    """Joint pairing/routing search over all kind combos (the strongest heuristic).
+
+    Each demand's pool is its equal-cost disjoint-pair candidates, plus the
+    caller's pair when that is also of minimum total hops.  A max-weight
+    matching then fixes the pairs, and matched demands adopt their best
+    candidates.  Unmatched demands keep the caller's routing untouched.
+    """
+    by_demand = index_routing(instance, routing)
+    pools: dict[Demand, list[PathPair]] = {}
+    for d in instance.demands:
+        pool = disjoint_pair_candidates(instance.topology, d, candidate_budget)
+        base = by_demand[d]
+        if base not in pool and base.total_hops == pool[0].total_hops:
+            pool.append(base)  # caller's pair competes when it is also optimal
+        pools[d] = pool
+    return _select(instance, by_demand, KIND_COMBOS, pools)

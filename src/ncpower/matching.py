@@ -12,9 +12,14 @@ Every choice among equal candidates is made in the order networkx makes it
 for a graph built from ``sorted(weights)``: vertices ascending, neighbours
 ascending, blossoms in creation order, the S-vertex queue last-in first-out.
 Both therefore return the same pairs, not merely matchings of equal weight.
+
+``exhaustive_matching`` is the brute-force counterpart for small graphs and
+for the oracles: it visits every matching in lexicographic order and counts
+them.
 """
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 from .errors import ContractError
@@ -496,3 +501,47 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], float]) -> list[t
     if allinteger:
         verify_optimum()
     return [(v, mate[v]) for v in range(n) if mate[v] > v]
+
+
+def exhaustive_matching(
+    n: int, weights: dict[tuple[int, int], float], limit: float = math.inf
+) -> tuple[list[tuple[int, int]], float, int]:
+    """The first strictly heaviest matching, its weight, and the matchings visited.
+
+    Every matching of the edges ``(i, j)``, ``i < j``, in ``weights`` is
+    visited, the empty one included: the lowest unused vertex is paired with
+    each partner in ascending order before it is left single, so matchings
+    come in lexicographic order.  A matching is kept when its weight, summed
+    in that order, exceeds every earlier one and 0; with none, the result is
+    ``[]`` and 0.0.  The walk stops once more than ``limit`` matchings have
+    been visited, so a count above ``limit`` marks an unfinished search.
+    """
+    partners: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j in sorted(weights):
+        partners[i].append((j, weights[(i, j)]))
+    chosen: list[tuple[int, int]] = []
+    best_pairs: list[tuple[int, int]] = []
+    best_total = 0.0
+    visited = 0
+
+    def walk(i: int, used: int, total: float) -> bool:
+        nonlocal best_pairs, best_total, visited
+        while i < n and used >> i & 1:
+            i += 1
+        if i == n:
+            visited += 1
+            if total > best_total:
+                best_total = total
+                best_pairs = chosen[:]
+            return visited <= limit
+        for j, w in partners[i]:
+            if not used >> j & 1:
+                chosen.append((i, j))
+                going = walk(i + 1, used | 1 << i | 1 << j, total + w)
+                chosen.pop()
+                if not going:
+                    return False
+        return walk(i + 1, used | 1 << i, total)
+
+    walk(0, 0, 0.0)
+    return best_pairs, best_total, visited

@@ -2,9 +2,13 @@
 
 ``optimal_matching`` enumerates every matching per destination cluster on a
 fixed routing; ``optimal_joint`` additionally enumerates the cross-product of
-per-demand disjoint-pair candidates.  Both are deliberately independent of the
-max-weight-matching machinery in :mod:`ncpower.coding` so the two code paths
-validate each other.
+per-demand disjoint-pair candidates.  Both walk the matchings with
+:func:`ncpower.matching.exhaustive_matching`, the search that also serves
+small clusters in :mod:`ncpower.coding` and that the tests check against
+networkx.  Pair scoring stays independent of the selectors:
+``optimal_matching`` scores pairs through ``build_encodable_graph`` and
+``optimal_joint`` through its own ``pair_value``, so a scoring fault in the
+selectors' shared body shows up as a disagreement with the oracles.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .coding import (
     build_encodable_graph,
 )
 from .errors import OracleGuardError
+from .matching import exhaustive_matching
 from .model import Instance
 from .power import eval_with_coding
 from .routing import PathPair, disjoint_pair_candidates, index_routing, route_instance
@@ -35,48 +40,6 @@ class OracleResult:
     best_assignment: CodingAssignment
     best_routing: tuple[PathPair, ...]
     explored: int  # configurations enumerated (summed over clusters)
-    exact: bool
-
-
-def _count_matchings(n: int, partners: dict[int, list[int]], cap: int) -> int:
-    """Number of matchings (including partial and empty); aborts above cap."""
-    count = 0
-
-    def walk(i: int, used: int) -> bool:
-        nonlocal count
-        while i < n and used >> i & 1:
-            i += 1
-        if i == n:
-            count += 1
-            return count <= cap
-        for j in partners[i]:
-            if not used >> j & 1:
-                if not walk(i + 1, used | 1 << i | 1 << j):
-                    return False
-        return walk(i + 1, used | 1 << i)
-
-    walk(0, 0)
-    return count
-
-
-def _enumerate_matchings(n: int, partners: dict[int, list[int]]):
-    """Yield every matching as a tuple of (i, j) pairs, lexicographic order."""
-    chosen: list[tuple[int, int]] = []
-
-    def walk(i: int, used: int):
-        while i < n and used >> i & 1:
-            i += 1
-        if i == n:
-            yield tuple(chosen)
-            return
-        for j in partners[i]:
-            if not used >> j & 1:
-                chosen.append((i, j))
-                yield from walk(i + 1, used | 1 << i | 1 << j)
-                chosen.pop()
-        yield from walk(i + 1, used | 1 << i)
-
-    yield from walk(0, 0)
 
 
 def optimal_matching(
@@ -106,22 +69,14 @@ def optimal_matching(
                     best = pair
             if best is not None:
                 edge_best[(i, j)] = best
-        partners = {i: [j for j in range(i + 1, n) if (i, j) in edge_best] for i in range(n)}
-
-        total = _count_matchings(n, partners, MATCHING_GUARD)
-        if total > MATCHING_GUARD:
+        weights = {e: pair.benefit for e, pair in edge_best.items()}
+        best_edges, _, count = exhaustive_matching(n, weights, MATCHING_GUARD)
+        if count > MATCHING_GUARD:
             raise OracleGuardError(
                 f"cluster for destination {dest} ({n} demands) exceeds "
                 f"{MATCHING_GUARD} matchings"
             )
-        best_value = 0.0
-        best_edges: tuple[tuple[int, int], ...] = ()
-        for matching in _enumerate_matchings(n, partners):
-            explored += 1
-            value = sum(edge_best[e].benefit for e in matching)
-            if value > best_value:
-                best_value = value
-                best_edges = matching
+        explored += count
         chosen.extend(edge_best[e] for e in best_edges)
 
     assignment = CodingAssignment(tuple(chosen))
@@ -131,7 +86,6 @@ def optimal_matching(
         best_assignment=assignment,
         best_routing=routing,
         explored=explored,
-        exact=True,
     )
 
 
@@ -175,43 +129,36 @@ def optimal_joint(instance: Instance, candidate_budget: int = 8) -> OracleResult
                     best_combo = combo
             return best_shared, best_combo
 
-        values: dict[tuple[int, int, int, int], tuple[frozenset, tuple]] = {}
+        # (i, ci, j, cj) -> shared links, kind combo and volume-weighted benefit
+        values: dict[tuple[int, int, int, int], tuple[frozenset, tuple, float]] = {}
         for i, j in itertools.combinations(range(n), 2):
             vol = min(demands[i].volume, demands[j].volume)
             for ci in range(len(cluster_pools[i])):
                 for cj in range(len(cluster_pools[j])):
                     shared, combo = pair_value(i, ci, j, cj)
                     if shared:
-                        values[(i, ci, j, cj)] = (shared, combo)
+                        values[(i, ci, j, cj)] = (shared, combo, vol * len(shared))
 
         best_value = 0.0
-        best_pick: tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None = None
+        best_pick: tuple[tuple[int, ...], list[tuple[int, int]]] | None = None
         for cand_idx in itertools.product(*(range(len(p)) for p in cluster_pools)):
-            partners = {
-                i: [
-                    j
-                    for j in range(i + 1, n)
-                    if (i, cand_idx[i], j, cand_idx[j]) in values
-                ]
-                for i in range(n)
-            }
-            for matching in _enumerate_matchings(n, partners):
-                explored += 1
-                value = sum(
-                    min(demands[i].volume, demands[j].volume)
-                    * len(values[(i, cand_idx[i], j, cand_idx[j])][0])
-                    for i, j in matching
-                )
-                if value > best_value:
-                    best_value = value
-                    best_pick = (cand_idx, matching)
+            weights = {}
+            for i, j in itertools.combinations(range(n), 2):
+                hit = values.get((i, cand_idx[i], j, cand_idx[j]))
+                if hit is not None:
+                    weights[(i, j)] = hit[2]
+            matching, value, count = exhaustive_matching(n, weights)
+            explored += count
+            if value > best_value:
+                best_value = value
+                best_pick = (cand_idx, matching)
 
         if best_pick is not None:
             cand_idx, matching = best_pick
             k = instance.power.slope_w_per_gbps
             for i, j in matching:
                 d1, d2 = demands[i], demands[j]
-                shared, combo = values[(i, cand_idx[i], j, cand_idx[j])]
+                shared, combo, _ = values[(i, cand_idx[i], j, cand_idx[j])]
                 final_routing[d1] = cluster_pools[i][cand_idx[i]]
                 final_routing[d2] = cluster_pools[j][cand_idx[j]]
                 benefit = k * min(d1.volume, d2.volume) * len(shared)
@@ -225,5 +172,4 @@ def optimal_joint(instance: Instance, candidate_budget: int = 8) -> OracleResult
         best_assignment=assignment,
         best_routing=routing,
         explored=explored,
-        exact=True,
     )

@@ -7,6 +7,9 @@ import sys
 import pytest
 from conftest import DATA_DIR
 
+from ncpower.cli import SWEEP_POINT_LIMIT, _sweep_volumes
+from ncpower.errors import InstanceError
+
 GOLDEN = {
     "mesh-volume": DATA_DIR / "mesh_volume.csv",
     "mesh-sizes": DATA_DIR / "mesh_sizes.csv",
@@ -129,6 +132,17 @@ def test_too_small_topology_exit_3():
     proc = run_cli("analyze", "--gen", "mesh:2", "--volume", "20")
     assert proc.returncode == 3
     assert "1+1 protection" in proc.stderr
+
+
+def test_oversized_volume_sweep_exit_3():
+    # the point count is checked before any volume is listed, so a sweep of
+    # about 1e12 volumes is refused at once
+    proc = run_cli("analyze", "--gen", "ring:4", "--sweep", "20:1e12:1")
+    assert proc.returncode == 3
+    assert f"more than {SWEEP_POINT_LIMIT} volumes" in proc.stderr
+    assert len(_sweep_volumes(f"1:{SWEEP_POINT_LIMIT}:1")) == SWEEP_POINT_LIMIT
+    with pytest.raises(InstanceError):
+        _sweep_volumes(f"1:{SWEEP_POINT_LIMIT + 1}:1")
 
 
 def test_bad_instance_file_exit_3(tmp_path):

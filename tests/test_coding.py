@@ -20,10 +20,9 @@ from ncpower.coding import (
     pair_benefit,
     select_pairs_fixed,
     select_pairs_osh,
-    _max_weight_pairs_exhaustive,
 )
 from ncpower.errors import ContractError, FeasibilityError
-from ncpower.matching import max_weight_matching
+from ncpower.matching import exhaustive_matching, max_weight_matching
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
 from ncpower.power import PowerParams, eval_with_coding
 from ncpower.routing import Path, route_instance
@@ -140,7 +139,7 @@ def test_exhaustive_matching_agrees_with_blossom():
             weights = _random_weights(rng, n)
             if not weights:
                 continue
-            mine = _max_weight_pairs_exhaustive(n, weights)
+            mine = max_weight_pairs(n, weights)
             graph = nx.Graph()
             graph.add_nodes_from(range(n))
             for (i, j), w in weights.items():
@@ -149,6 +148,47 @@ def test_exhaustive_matching_agrees_with_blossom():
             total_mine = sum(weights[e] for e in mine)
             total_ref = sum(weights[tuple(sorted(e))] for e in reference)
             assert total_mine == pytest.approx(total_ref, abs=1e-9)
+
+
+def _brute_force_matchings(n: int, weights: dict[tuple[int, int], float]) -> list[tuple]:
+    # every edge subset that is a matching, the empty one included; none has
+    # more than n // 2 edges
+    edges = sorted(weights)
+    found = []
+    for size in range(n // 2 + 1):
+        for subset in itertools.combinations(edges, size):
+            ends = [v for edge in subset for v in edge]
+            if len(ends) == len(set(ends)):
+                found.append(subset)
+    return found
+
+
+def _walk_order(n: int, matching) -> tuple[int, ...]:
+    # the lowest unused vertex takes each partner in ascending order before
+    # it stays single (n), so the search visits matchings in this key's order
+    mate = {}
+    for i, j in matching:
+        mate[i], mate[j] = j, i
+    return tuple(mate.get(v, n) for v in range(n) if mate.get(v, n) > v)
+
+
+def test_exhaustive_matching_agrees_with_brute_force():
+    rng = random.Random(31)
+    for n in range(0, 9):
+        for _ in range(6):
+            weights = _random_weights(rng, n)
+            pairs, total, explored = exhaustive_matching(n, weights)
+            everything = _brute_force_matchings(n, weights)
+            assert explored == len(everything)
+            best = max(sum(weights[e] for e in m) for m in everything)
+            assert total == best
+            assert sum(weights[e] for e in pairs) == best
+            heaviest = [m for m in everything if sum(weights[e] for e in m) == best]
+            expected = [] if best == 0 else list(min(heaviest, key=lambda m: _walk_order(n, m)))
+            assert pairs == expected
+            # a limit below the count stops the walk one matching past it
+            limit = explored // 2
+            assert exhaustive_matching(n, weights, limit)[2] == limit + 1
 
 
 def _networkx_pairs(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:

@@ -24,7 +24,6 @@ def test_fixed_selection_matches_matching_oracle(build, n, combo):
     result = optimal_matching(inst, routing, combos=(combo,))
     heuristic = eval_with_coding(inst, routing, sel.assignment)
     assert heuristic.p_total == pytest.approx(result.best_power, abs=1e-9)
-    assert result.exact
     assert sel.assignment.total_benefit == pytest.approx(
         result.best_assignment.total_benefit, abs=1e-9
     )
@@ -52,7 +51,6 @@ def test_oracle_with_no_feasible_pairs_returns_conventional():
     )
     assert result.best_power == eval_conventional(inst, routing)
     assert not result.best_assignment.pairs
-    assert result.exact
 
 
 def test_matching_guard_constant():
@@ -86,10 +84,18 @@ def test_joint_oracle_small_rings():
 def test_joint_oracle_reports_exploration():
     result = optimal_joint(generate_full_mesh(4, 20.0))
     assert result.explored > 0
-    assert result.exact
     # every demand still routed after the oracle's candidate swaps
     routed = {pair.demand for pair in result.best_routing}
     assert routed == set(generate_full_mesh(4, 20.0).demands)
+
+
+@pytest.mark.parametrize("n, joint, matching", [(4, 128, 16), (5, 3030, 50)])
+def test_oracle_explored_counts(n, joint, matching):
+    # every matching of every cluster is visited once, the empty one included;
+    # the joint oracle does so for every tuple of candidate pairs
+    inst = generate_full_mesh(n, 20.0)
+    assert optimal_joint(inst).explored == joint
+    assert optimal_matching(inst, route_instance(inst)).explored == matching
 
 
 def test_joint_oracle_never_below_osh():
