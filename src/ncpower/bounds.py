@@ -45,7 +45,7 @@ def _min_hop_table(instance: Instance) -> dict[Demand, int]:
     table: dict[Demand, int] = {}
     for d in instance.demands:
         if d.dest not in dist_cache:
-            dist_cache[d.dest] = _bfs_dist(instance.topology, d.dest)
+            dist_cache[d.dest] = _bfs_dist(instance.topology.adjacency, d.dest)
         try:
             table[d] = dist_cache[d.dest][d.source]
         except KeyError:

@@ -397,6 +397,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # repro takes no --budget; every other command refuses one below 1
+        # before it builds an instance, whether or not a selector reads it
+        if getattr(args, "budget", 1) < 1:
+            raise InstanceError(f"--budget {args.budget} must be at least 1")
         return args.func(args)
     except SurvivabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

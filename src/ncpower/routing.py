@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, RoutingError, SurvivabilityError
 from .model import Demand, Edge, Instance, Link, Topology, undirected
@@ -76,13 +76,13 @@ class PathPair:
         return self.working if kind.value == "w" else self.protection
 
 
-def _bfs_dist(topology: Topology, start: int) -> dict[int, int]:
+def _bfs_dist(adjacency: Mapping[int, Sequence[int]], start: int) -> dict[int, int]:
     dist = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for node in frontier:
-            for nb in topology.adjacency[node]:
+            for nb in adjacency[node]:
                 if nb not in dist:
                     dist[nb] = dist[node] + 1
                     nxt.append(nb)
@@ -92,7 +92,7 @@ def _bfs_dist(topology: Topology, start: int) -> dict[int, int]:
 
 def shortest_path(topology: Topology, source: int, dest: int) -> Path:
     """Lexicographically smallest minimum-hop path from source to dest."""
-    dist_to_dest = _bfs_dist(topology, dest)
+    dist_to_dest = _bfs_dist(topology.adjacency, dest)
     if source not in dist_to_dest:
         raise RoutingError(f"node {dest} is unreachable from node {source}")
     nodes = [source]
@@ -132,7 +132,7 @@ def _min_pair_total(topology: Topology, source: int, dest: int) -> int:
     links reversed at cost -1) then has non-negative reduced costs, so a
     single Dijkstra run finds the cheapest augmenting path.
     """
-    h = _bfs_dist(topology, source)
+    h = _bfs_dist(topology.adjacency, source)
     if dest not in h:
         raise RoutingError(f"node {dest} is unreachable from node {source}")
     base = shortest_path(topology, source, dest)
@@ -172,64 +172,88 @@ def _min_pair_total(topology: Topology, source: int, dest: int) -> int:
     return base.hop_count + dist[dest] + h[dest]
 
 
-def _simple_paths_upto(topology: Topology, source: int, dest: int, max_hops: int) -> list[tuple[int, ...]]:
-    """All simple source->dest paths of at most max_hops hops, in lex order."""
-    dist_to_dest = _bfs_dist(topology, dest)
-    out: list[tuple[int, ...]] = []
+def _simple_paths_upto(
+    adjacency: Mapping[int, Sequence[int]], source: int, dest: int, max_hops: int
+) -> Iterator[tuple[int, ...]]:
+    """Simple source->dest paths of at most max_hops hops, yielded in lex order.
+
+    A depth-first search over sorted neighbour lists meets the paths in
+    lexicographic order of their node sequences (no path to dest is a prefix
+    of another), and one BFS from dest prunes every branch that cannot reach
+    dest within the hops left.  The paths are produced lazily, so a caller
+    that stops early pays only for the paths it consumed.
+    """
+    dist_to_dest = _bfs_dist(adjacency, dest)
     if dist_to_dest.get(source, max_hops + 1) > max_hops:
-        return out
-    if source == dest:
-        return [(source,)]
+        return
     # explicit stack of neighbour iterators: recursing would overflow on paths
     # hundreds of hops deep, e.g. the far arc of a large ring
     path = [source]
     on_path = {source}
-    stack = [iter(topology.adjacency[source])]
+    stack = [iter(adjacency[source])]
     while stack:
         budget = max_hops - len(path) + 1
         for nb in stack[-1]:
             if nb in on_path or dist_to_dest.get(nb, budget) > budget - 1:
                 continue
             if nb == dest:
-                out.append(tuple(path) + (nb,))
+                yield tuple(path) + (nb,)
                 continue
             path.append(nb)
             on_path.add(nb)
-            stack.append(iter(topology.adjacency[nb]))
+            stack.append(iter(adjacency[nb]))
             break
         else:
             stack.pop()
             on_path.remove(path.pop())
-    return out
+
+
+def _without_fibres(
+    adjacency: Mapping[int, Sequence[int]], nodes: tuple[int, ...]
+) -> dict[int, Sequence[int]]:
+    """A copy of adjacency with every fibre of the path ``nodes`` removed."""
+    reduced = dict(adjacency)
+    for a, b in zip(nodes, nodes[1:]):
+        reduced[a] = [nb for nb in reduced[a] if nb != b]
+        reduced[b] = [nb for nb in reduced[b] if nb != a]
+    return reduced
 
 
 def disjoint_pair_candidates(topology: Topology, demand: Demand, k: int = 8) -> list[PathPair]:
     """Up to k minimum-total-hop edge-disjoint pairs for a demand, lex-ordered.
 
     Every returned pair has the same (optimal) total hop count, so callers may
-    swap freely among them without touching the uncoded power.
+    swap freely among them without touching the uncoded power.  The pairs are
+    the first k of all optimal pairs sorted by (working, protection) node
+    sequence, where working is the shorter path (the smaller one on a tie).
+
+    The search walks candidate working paths W of at most total // 2 hops in
+    lex order and, for each, the paths P of at most total - |W| hops in the
+    graph without W's fibres, again in lex order.  No such P is shorter than
+    total - |W| hops, since (W, P) would then be a disjoint pair below the
+    minimum total; so every P found completes an optimal pair, and the walk
+    over P, pruned by one BFS in that graph, follows its shortest paths only.
+    It finds every optimal pair: W, the shorter path of the pair, has at most
+    total // 2 hops.  A P as long as W is kept only if it is lex-larger than
+    W; the other order is met with the roles swapped.  Both loops run in lex
+    order, so pairs come out sorted and the search stops at the k-th.  Its
+    cost is in proportion to the working paths tried and the k pairs
+    returned, not to the number of all paths in the graph.
     """
     if k < 1:
         raise ContractError("candidate budget must be at least 1")
     s, t = demand.source, demand.dest
     total = _min_pair_total(topology, s, t)
-    h_min = _bfs_dist(topology, t)[s]
-    # in an optimal pair the longer path has at most total - h_min hops
-    paths = _simple_paths_upto(topology, s, t, total - h_min)
     pairs: list[PathPair] = []
-    for i, a in enumerate(paths):
-        hops_a = len(a) - 1
-        for b in paths[i + 1:]:
-            if hops_a + len(b) - 1 != total:
+    for working in _simple_paths_upto(topology.adjacency, s, t, total // 2):
+        reduced = _without_fibres(topology.adjacency, working)
+        for protection in _simple_paths_upto(reduced, s, t, total - len(working) + 1):
+            if len(protection) == len(working) and protection < working:
                 continue
-            edges_a = frozenset(undirected(l) for l in zip(a, a[1:]))
-            edges_b = frozenset(undirected(l) for l in zip(b, b[1:]))
-            if edges_a & edges_b:
-                continue
-            first, second = sorted((a, b), key=lambda nodes: (len(nodes), nodes))
-            pairs.append(PathPair(demand, Path(first), Path(second)))
-    pairs.sort(key=lambda p: (p.working.nodes, p.protection.nodes))
-    return pairs[:k]
+            pairs.append(PathPair(demand, Path(working), Path(protection)))
+            if len(pairs) == k:
+                return pairs
+    return pairs
 
 
 def suurballe_pair(topology: Topology, demand: Demand) -> PathPair:

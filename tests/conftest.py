@@ -49,6 +49,42 @@ def brute_min_disjoint_total(topology: Topology, source: int, dest: int) -> int 
     return best
 
 
+def brute_min_pairs(topology: Topology, source: int, dest: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every edge-disjoint pair at the minimum total hop count, sorted; [] if none.
+
+    Each pair is ordered (shorter path, lexicographically smaller on a tie), and
+    the list is sorted by (first, second).  Totals are tried in increasing
+    order over all simple paths bucketed by hop count.
+    """
+    by_hops: dict[int, list[tuple[int, ...]]] = {}
+    for path in all_simple_paths(topology, source, dest):
+        by_hops.setdefault(len(path) - 1, []).append(path)
+    if not by_hops:
+        return []
+    lo, hi = min(by_hops), max(by_hops)
+    for total in range(2 * lo, 2 * hi + 1):
+        pairs = set()
+        for hops in range(lo, total // 2 + 1):
+            for a in by_hops.get(hops, ()):
+                for b in by_hops.get(total - hops, ()):
+                    if not _edges_of(a) & _edges_of(b):
+                        pairs.add(tuple(sorted((a, b), key=lambda p: (len(p), p))))
+        if pairs:
+            return sorted(pairs)
+    return []
+
+
+def grid_topology(rows: int, cols: int) -> Topology:
+    """rows x cols grid, nodes numbered row by row from 1."""
+    edges = []
+    for node in range(1, rows * cols + 1):
+        if node % cols:
+            edges.append((node, node + 1))
+        if node + cols <= rows * cols:
+            edges.append((node, node + cols))
+    return Topology.from_undirected_edges(rows * cols, edges)
+
+
 def connected_graphs(n: int):
     """All labelled connected graphs on nodes 1..n, as edge lists."""
     all_edges = list(itertools.combinations(range(1, n + 1), 2))

@@ -183,3 +183,17 @@ def test_out_writes_single_row_csv(tmp_path):
     text = out.read_text()
     assert text.startswith("conventional_w,total_w,reduction_w,savings_pct")
     assert "53650,37555,16095,30" in text
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "--gen", "ring:5", "--heuristic", "pp"),
+    ("sweep", "--gen", "ring:3:5"),
+    ("bounds", "--gen", "ring:1001"),
+])
+def test_budget_below_one_exit_3(args):
+    # refused before the instance is built, so ring:1001 (1,001,000 demands)
+    # answers at once, and for selectors that never read the budget too
+    for budget in ("0", "-1"):
+        proc = run_cli(*args, "--budget", budget)
+        assert proc.returncode == 3
+        assert f"--budget {budget} must be at least 1" in proc.stderr

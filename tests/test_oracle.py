@@ -106,3 +106,16 @@ def test_joint_oracle_never_below_osh():
         achieved = eval_with_coding(inst, sel.routing, sel.assignment)
         result = optimal_joint(inst)
         assert result.best_power <= achieved.p_total + 1e-9
+
+
+def test_osh_equals_joint_oracle_on_random_instances(random_instances):
+    # survivable 4-6-node graphs with non-uniform volumes: osh picks from the
+    # same candidate pools the joint oracle searches exhaustively
+    mismatches = []
+    for idx, inst in enumerate(random_instances):
+        sel = select_pairs_osh(inst, route_instance(inst))
+        achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
+        optimum = optimal_joint(inst).best_power
+        if achieved != optimum:
+            mismatches.append((idx, achieved, optimum))
+    assert not mismatches

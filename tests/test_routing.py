@@ -9,7 +9,9 @@ from conftest import (
     DATA_DIR,
     all_simple_paths,
     brute_min_disjoint_total,
+    brute_min_pairs,
     connected_graphs,
+    grid_topology,
     random_survivable_instance,
 )
 
@@ -193,6 +195,58 @@ def test_candidates_are_exactly_the_minimum_cost_pairs():
                 if not ea & eb and len(a) + len(b) - 2 == best:
                     count += 1
             assert len(cands) == count
+
+
+def _assert_candidates_match_brute_force(topo, s, t):
+    """Check every budget against the sorted brute-force pairs; return those."""
+    expected = brute_min_pairs(topo, s, t)
+    for k in (1, 2, 8, 64):
+        if not expected:
+            with pytest.raises(SurvivabilityError):
+                disjoint_pair_candidates(topo, Demand(s, t, 1.0), k)
+            continue
+        cands = disjoint_pair_candidates(topo, Demand(s, t, 1.0), k)
+        assert [(c.working.nodes, c.protection.nodes) for c in cands] == expected[:k]
+    return expected
+
+
+def test_candidates_equal_sorted_brute_force_pairs():
+    # connected G(n, 0.5) graphs, bridges allowed, so some demands have no pair
+    rng = random.Random(20261018)
+    bridged = 0
+    for _ in range(30):
+        n = rng.randint(5, 8)
+        while True:
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+            topo = Topology.from_undirected_edges(n, edges)
+            if topo.is_connected():
+                break
+        for s, t in itertools.permutations(range(1, n + 1), 2):
+            bridged += not _assert_candidates_match_brute_force(topo, s, t)
+    assert bridged > 0
+    for rows in (3, 4):
+        for cols in range(3, 6):
+            topo = grid_topology(rows, cols)
+            _assert_candidates_match_brute_force(topo, 1, rows * cols)
+            _assert_candidates_match_brute_force(topo, cols, (rows - 1) * cols + 1)
+
+
+@pytest.mark.parametrize("side", [8, 20])
+def test_large_grid_corner_candidates(side):
+    # a corner demand has C(2(side-1), side-1) shortest paths (3,432 at 8x8),
+    # so the first k pairs must come without pairing every path
+    topo = grid_topology(side, side)
+    last = side * side
+    cands = disjoint_pair_candidates(topo, Demand(1, last, 1.0), k=8)
+    assert len(cands) == 8
+    assert all(c.total_hops == 4 * (side - 1) for c in cands)
+    top_row = tuple(range(1, side + 1))
+    right_column = tuple(range(2 * side, last + 1, side))
+    assert cands[0].working.nodes == top_row + right_column
+    second_row = tuple(range(side + 1, 2 * side))
+    down_to_last = tuple(range(3 * side - 1, last, side)) + (last,)
+    assert cands[0].protection.nodes == (1,) + second_row + down_to_last
+    assert disjoint_pair_candidates(topo, Demand(1, last, 1.0), k=1) == cands[:1]
 
 
 def test_min_hop_floor_holds_per_demand():
