@@ -5,6 +5,7 @@ from .bounds import (
     RingClass,
     bound_conventional,
     bound_nc,
+    closed_form,
     mesh_fluctuation,
     mesh_power,
     mesh_savings_fraction,
@@ -20,7 +21,6 @@ from .coding import (
     CodedPair,
     CodingAssignment,
     EncodableGraph,
-    PathKind,
     SelectionResult,
     build_encodable_graph,
     pair_benefit,
@@ -50,6 +50,7 @@ from .oracle import OracleResult, optimal_joint, optimal_matching
 from .power import PowerParams, PowerReport, eval_conventional, eval_with_coding
 from .routing import (
     Path,
+    PathKind,
     PathPair,
     disjoint_pair_candidates,
     route_instance,

@@ -15,6 +15,7 @@ Closed forms for uniform all-pairs traffic:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,9 +58,7 @@ def _min_hop_table(instance: Instance) -> dict[Demand, int]:
 
 def bound_conventional(instance: Instance) -> float:
     """Power floor of plain 1+1 protection: both paths need at least h_min hops."""
-    k = instance.power.slope_w_per_gbps
-    min_hops = _min_hop_table(instance)
-    return 2 * k * sum(d.volume * min_hops[d] for d in instance.demands)
+    return bound_nc(instance).conventional_lower
 
 
 def bound_nc(instance: Instance, assignment: CodingAssignment = EMPTY_ASSIGNMENT) -> BoundReport:
@@ -179,3 +178,18 @@ def ring_power(n: int, volume: float, params: PowerParams | None = None) -> tupl
     shared = ring_shared_hops(n)
     conventional = k * volume * hops
     return conventional, k * volume * (hops - shared), shared / hops
+
+
+def closed_form(
+    kind: str, n: int, volume: float, params: PowerParams | None = None
+) -> tuple[float, float, float, str]:
+    """(conventional, coded, savings_fraction, size class) of a uniform mesh or ring.
+
+    ``kind`` is "mesh" or "ring".  The size class is the mesh parity ("odd" or
+    "even") or the ring's RingClass value.
+    """
+    if not 0 <= volume < math.inf:
+        raise DomainError(f"volume {volume}: closed forms need a finite non-negative volume")
+    if kind == "mesh":
+        return (*mesh_power(n, volume, params), "odd" if n % 2 else "even")
+    return (*ring_power(n, volume, params), ring_classify(n).value)

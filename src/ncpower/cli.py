@@ -9,17 +9,12 @@ Exit codes: 0 ok, 2 usage, 3 bad instance, 4 no survivable routing,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path as FilePath
+from typing import Sequence
 
-from .bounds import (
-    BoundReport,
-    bound_nc,
-    mesh_power,
-    mesh_savings_fraction,
-    ring_classify,
-    ring_power,
-)
+from .bounds import BoundReport, bound_nc, closed_form
 from .coding import (
     COMBO_NAMES,
     EMPTY_ASSIGNMENT,
@@ -47,6 +42,8 @@ BOUNDS_EVAL_DEMAND_LIMIT = 20_000
 
 # every volume of an analyze --sweep is a full instance to route and select
 SWEEP_POINT_LIMIT = 10_000
+
+POWER_HEADER = ["conventional_w", "total_w", "reduction_w", "savings_pct"]
 
 
 def fmt(value: float) -> str:
@@ -82,7 +79,10 @@ def _parse_power(text: str | None) -> PowerParams:
 
 
 def _load_file(path: str, volume: float | None, power_text: str | None) -> Instance:
-    text = FilePath(path).read_text(encoding="utf-8")
+    try:
+        text = FilePath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"instance {path} is not UTF-8 text: {exc.reason}") from None
     instance = load_instance(text)
     if power_text is not None:
         instance = Instance(instance.topology, instance.demands, _parse_power(power_text))
@@ -102,22 +102,35 @@ def _build_instance(args, volume: float | None) -> Instance:
     return _load_file(args.instance, volume, args.power)
 
 
-def _run_heuristic(instance: Instance, name: str, budget: int) -> SelectionResult:
+def _evaluate(
+    instance: Instance, heuristics: Sequence[str], budget: int
+) -> list[tuple[PowerReport, SelectionResult]]:
+    """Route the instance once, then run and price each heuristic in order."""
     routing = route_instance(instance)
-    if name == "conventional":
-        return SelectionResult(EMPTY_ASSIGNMENT, routing)
-    if name == "osh":
-        return select_pairs_osh(instance, routing, budget)
-    if name == "oracle":
-        result = optimal_joint(instance, budget)
-        return SelectionResult(result.best_assignment, result.best_routing)
-    return select_pairs_fixed(instance, routing, COMBO_NAMES[name])
+    results = []
+    for name in heuristics:
+        if name == "conventional":
+            selection = SelectionResult(EMPTY_ASSIGNMENT, routing)
+        elif name == "osh":
+            selection = select_pairs_osh(instance, routing, budget)
+        elif name == "oracle":
+            joint = optimal_joint(instance, budget)
+            selection = SelectionResult(joint.best_assignment, joint.best_routing)
+        else:
+            selection = select_pairs_fixed(instance, routing, COMBO_NAMES[name])
+        report = eval_with_coding(instance, selection.routing, selection.assignment)
+        results.append((report, selection))
+    return results
 
 
-def _evaluate(instance: Instance, name: str, budget: int) -> tuple[PowerReport, SelectionResult]:
-    selection = _run_heuristic(instance, name, budget)
-    report = eval_with_coding(instance, selection.routing, selection.assignment)
-    return report, selection
+def _power_row(report: PowerReport) -> list[str]:
+    """The POWER_HEADER columns of one report."""
+    return [
+        fmt(report.p_conventional),
+        fmt(report.p_total),
+        fmt(report.p_reduction),
+        fmt(report.savings_fraction * 100),
+    ]
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]):
@@ -137,6 +150,8 @@ def _sweep_volumes(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise InstanceError(f"--sweep {spec!r}: values must be numbers") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise InstanceError(f"--sweep {spec!r}: values must be finite")
     if step <= 0 or stop < start:
         raise InstanceError("--sweep needs step > 0 and stop >= start")
     if (stop - start) / step + 1 > SWEEP_POINT_LIMIT:
@@ -175,37 +190,18 @@ def _print_report(instance: Instance, report: PowerReport, bounds: BoundReport, 
 
 def _cmd_analyze(args) -> int:
     if args.sweep:
-        header = ["volume_gbps", "conventional_w", "total_w", "reduction_w", "savings_pct"]
         rows = []
         for volume in _sweep_volumes(args.sweep):
-            instance = _build_instance(args, volume)
-            report, _ = _evaluate(instance, args.heuristic, args.budget)
-            rows.append(
-                [
-                    fmt(volume),
-                    fmt(report.p_conventional),
-                    fmt(report.p_total),
-                    fmt(report.p_reduction),
-                    fmt(report.savings_fraction * 100),
-                ]
-            )
-        _write_csv(args.out, header, rows)
+            [(report, _)] = _evaluate(_build_instance(args, volume), [args.heuristic], args.budget)
+            rows.append([fmt(volume)] + _power_row(report))
+        _write_csv(args.out, ["volume_gbps"] + POWER_HEADER, rows)
         return 0
     instance = _build_instance(args, args.volume)
-    report, selection = _evaluate(instance, args.heuristic, args.budget)
+    [(report, selection)] = _evaluate(instance, [args.heuristic], args.budget)
     bounds = bound_nc(instance, selection.assignment)
     _print_report(instance, report, bounds, selection)
     if args.out:
-        _write_csv(
-            args.out,
-            ["conventional_w", "total_w", "reduction_w", "savings_pct"],
-            [[
-                fmt(report.p_conventional),
-                fmt(report.p_total),
-                fmt(report.p_reduction),
-                fmt(report.savings_fraction * 100),
-            ]],
-        )
+        _write_csv(args.out, POWER_HEADER, [_power_row(report)])
     return 0
 
 
@@ -218,7 +214,7 @@ def _cmd_bounds(args) -> int:
     else:
         instance = _load_file(args.instance, args.volume, args.power)
     if len(instance.demands) <= BOUNDS_EVAL_DEMAND_LIMIT:
-        report, selection = _evaluate(instance, args.heuristic, args.budget)
+        [(report, selection)] = _evaluate(instance, [args.heuristic], args.budget)
         bounds = bound_nc(instance, selection.assignment)
     else:
         report = None
@@ -236,12 +232,7 @@ def _cmd_bounds(args) -> int:
             f"{BOUNDS_EVAL_DEMAND_LIMIT}; bounds assume no pairing)"
         )
     if args.gen:
-        if kind == "mesh":
-            conv, coded, savings = mesh_power(n, volume, params)
-            label = "odd" if n % 2 else "even"
-        else:
-            conv, coded, savings = ring_power(n, volume, params)
-            label = ring_classify(n).value
+        conv, coded, savings, label = closed_form(kind, n, volume, params)
         print(
             f"closed_form: conventional={fmt(conv)} W coded={fmt(coded)} W "
             f"savings={fmt(savings * 100)}% class={label}"
@@ -266,6 +257,18 @@ def _parse_size_range(spec: str) -> tuple[str, range]:
     return kind, range(lo, hi + 1, step)
 
 
+def _size_row(
+    kind: str, n: int, volume: float, params: PowerParams, heuristics: Sequence[str], budget: int
+) -> list[str]:
+    """Size, size class, closed-form savings and each heuristic's savings, in percent."""
+    _, _, savings, label = closed_form(kind, n, volume, params)
+    row = [str(n), label, fmt(savings * 100)]
+    if heuristics:
+        reports = _evaluate(_generate(kind, n, volume, params), heuristics, budget)
+        row += [fmt(report.savings_fraction * 100) for report, _ in reports]
+    return row
+
+
 def _cmd_sweep(args) -> int:
     kind, sizes = _parse_size_range(args.gen)
     heuristics = [h for h in (args.heuristic or "").split(",") if h]
@@ -276,61 +279,28 @@ def _cmd_sweep(args) -> int:
     volume = 20.0 if args.volume is None else args.volume
 
     header = ["size", "class", "analytic_pct"] + [f"{h}_pct" for h in heuristics]
-    rows = []
-    for n in sizes:
-        if kind == "mesh":
-            savings = mesh_savings_fraction(n)
-            label = "odd" if n % 2 else "even"
-        else:
-            _, _, savings = ring_power(n, volume, params)
-            label = ring_classify(n).value
-        row = [str(n), label, fmt(savings * 100)]
-        if heuristics:
-            instance = _generate(kind, n, volume, params)
-            for h in heuristics:
-                report, _ = _evaluate(instance, h, args.budget)
-                row.append(fmt(report.savings_fraction * 100))
-        rows.append(row)
+    rows = [_size_row(kind, n, volume, params, heuristics, args.budget) for n in sizes]
     _write_csv(args.out, header, rows)
     return 0
 
 
 def _repro_volume_table(kind: str) -> tuple[list[str], list[list[str]]]:
-    build = generate_full_mesh if kind == "mesh" else generate_ring
-    closed = mesh_power if kind == "mesh" else ring_power
     header = ["volume_gbps", "conventional_w", "nc_analytic_w", "nc_oracle_w", "osh_w"]
+    params = PowerParams()
     rows = []
     for volume in range(20, 201, 20):
-        instance = build(5, float(volume))
-        conv, coded, _ = closed(5, float(volume))
-        oracle_power = optimal_joint(instance).best_power
-        report, _ = _evaluate(instance, "osh", 8)
-        rows.append([fmt(volume), fmt(conv), fmt(coded), fmt(oracle_power), fmt(report.p_total)])
+        conv, coded, _, _ = closed_form(kind, 5, float(volume), params)
+        instance = _generate(kind, 5, float(volume), params)
+        (oracle, _), (osh, _) = _evaluate(instance, ["oracle", "osh"], 8)
+        rows.append([fmt(volume), fmt(conv), fmt(coded), fmt(oracle.p_total), fmt(osh.p_total)])
     return header, rows
 
 
 def _repro_size_table(kind: str) -> tuple[list[str], list[list[str]]]:
-    build = generate_full_mesh if kind == "mesh" else generate_ring
-    if kind == "mesh":
-        heuristics = ["osh", "ww", "pp"]
-        header = ["size", "parity", "analytic_pct", "osh_pct", "ww_pct", "pp_pct"]
-    else:
-        heuristics = ["osh", "ww", "wp", "pw", "pp"]
-        header = ["size", "ring_class", "analytic_pct", "osh_pct", "ww_pct", "wp_pct", "pw_pct", "pp_pct"]
-    rows = []
-    for n in range(3, 16):
-        if kind == "mesh":
-            label = "odd" if n % 2 else "even"
-            analytic = mesh_savings_fraction(n)
-        else:
-            label = ring_classify(n).value
-            _, _, analytic = ring_power(n, 20.0)
-        row = [str(n), label, fmt(analytic * 100)]
-        instance = build(n, 20.0)
-        for h in heuristics:
-            report, _ = _evaluate(instance, h, 8)
-            row.append(fmt(report.savings_fraction * 100))
-        rows.append(row)
+    heuristics = ["osh", "ww", "pp"] if kind == "mesh" else ["osh", "ww", "wp", "pw", "pp"]
+    class_column = "parity" if kind == "mesh" else "ring_class"
+    header = ["size", class_column, "analytic_pct"] + [f"{h}_pct" for h in heuristics]
+    rows = [_size_row(kind, n, 20.0, PowerParams(), heuristics, 8) for n in range(3, 16)]
     return header, rows
 
 
@@ -411,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceError, RoutingError, NcPowerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

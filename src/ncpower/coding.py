@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -30,13 +29,7 @@ from .errors import ContractError, FeasibilityError
 from .matching import exhaustive_matching, max_weight_matching
 from .model import Demand, Instance, Link
 from .power import PowerParams
-from .routing import Path, PathPair, disjoint_pair_candidates, index_routing
-
-
-class PathKind(Enum):
-    WORKING = "w"
-    PROTECTION = "p"
-
+from .routing import Path, PathKind, PathPair, disjoint_pair_candidates, index_routing
 
 _W = PathKind.WORKING
 _P = PathKind.PROTECTION

@@ -6,6 +6,7 @@ under direction reversal (fibre pairs), so the undirected view is what the
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,8 +86,8 @@ class Demand:
     def __post_init__(self):
         if self.source == self.dest:
             raise DomainError(f"demand endpoints coincide at node {self.source}")
-        if self.volume < 0:
-            raise DomainError(f"demand ({self.source},{self.dest}) has negative volume")
+        if not 0 <= self.volume < math.inf:
+            raise DomainError(f"demand {self} volume {self.volume} must be finite and non-negative")
 
     def __str__(self) -> str:
         return f"{self.source}->{self.dest}"
@@ -212,8 +213,8 @@ def load_instance(text: str) -> Instance:
             for node in (s, t):
                 if not 1 <= node <= node_count:
                     raise InstanceError(f"node {node} outside 1..{node_count}", line_no)
-            if vol < 0:
-                raise InstanceError("demand volume must be non-negative", line_no)
+            if not 0 <= vol < math.inf:
+                raise InstanceError("demand volume must be finite and non-negative", line_no)
             if (s, t) in demand_keys:
                 raise InstanceError(f"duplicate demand {s}->{t}", line_no)
             demand_keys.add((s, t))

@@ -28,7 +28,7 @@ from .errors import OracleGuardError
 from .matching import exhaustive_matching
 from .model import Instance
 from .power import eval_with_coding
-from .routing import PathPair, disjoint_pair_candidates, index_routing, route_instance
+from .routing import PathPair, disjoint_pair_candidates
 
 MATCHING_GUARD = 1 << 20  # max matchings enumerated per cluster
 JOINT_NODE_GUARD = 7  # optimal_joint refuses larger instances
@@ -93,20 +93,20 @@ def optimal_joint(instance: Instance, candidate_budget: int = 8) -> OracleResult
     """Best assignment over candidate routings x matchings, by brute force.
 
     Guarded to instances of at most 7 nodes: the search is a cross-product of
-    every demand's candidate pool with every per-cluster matching.
+    every demand's candidate pool with every per-cluster matching.  Unmatched
+    demands keep the head of their pool, the pair ``route_instance`` gives them.
     """
     n_nodes = instance.topology.node_count
     if n_nodes > JOINT_NODE_GUARD:
         raise OracleGuardError(
             f"joint oracle refuses {n_nodes}-node instances (limit {JOINT_NODE_GUARD})"
         )
-    base = index_routing(instance, route_instance(instance))
     pools = {
         d: disjoint_pair_candidates(instance.topology, d, candidate_budget)
         for d in instance.demands
     }
 
-    final_routing = dict(base)
+    final_routing = {d: pool[0] for d, pool in pools.items()}
     chosen: list[CodedPair] = []
     explored = 0
 

@@ -8,6 +8,7 @@ that XOR-coded protection removes from shared links.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -32,10 +33,10 @@ class PowerParams:
     channel_gbps: float = 40.0
 
     def __post_init__(self):
-        if self.port_w < 0 or self.transponder_w < 0:
-            raise DomainError("device powers must be non-negative")
-        if self.channel_gbps <= 0:
-            raise DomainError("channel capacity must be positive")
+        if not (0 <= self.port_w < math.inf and 0 <= self.transponder_w < math.inf):
+            raise DomainError("device powers must be finite and non-negative")
+        if not 0 < self.channel_gbps < math.inf:
+            raise DomainError("channel capacity must be finite and positive")
 
     @property
     def slope_w_per_gbps(self) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -50,6 +51,11 @@ class Path:
         return "-".join(map(str, self.nodes))
 
 
+class PathKind(Enum):
+    WORKING = "w"
+    PROTECTION = "p"
+
+
 @dataclass(frozen=True)
 class PathPair:
     """Working and protection path of one demand; disjoint in the fibre view."""
@@ -71,9 +77,8 @@ class PathPair:
     def total_hops(self) -> int:
         return self.working.hop_count + self.protection.hop_count
 
-    def path(self, kind) -> Path:
-        # kind is coding.PathKind; duck-typed on .value to avoid an import cycle
-        return self.working if kind.value == "w" else self.protection
+    def path(self, kind: PathKind) -> Path:
+        return self.working if kind is PathKind.WORKING else self.protection
 
 
 def _bfs_dist(adjacency: Mapping[int, Sequence[int]], start: int) -> dict[int, int]:

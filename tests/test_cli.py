@@ -7,6 +7,7 @@ import sys
 import pytest
 from conftest import DATA_DIR
 
+from ncpower import cli
 from ncpower.cli import SWEEP_POINT_LIMIT, _sweep_volumes
 from ncpower.errors import InstanceError
 
@@ -154,8 +155,18 @@ def test_bad_instance_file_exit_3(tmp_path):
 
 
 def test_missing_file_exit_3(tmp_path):
-    proc = run_cli("analyze", "--instance", str(tmp_path / "nope.net"))
-    assert proc.returncode == 3
+    # a missing, unreadable or non-UTF-8 path is a bad input, not a crash
+    latin1 = tmp_path / "latin1.net"
+    latin1.write_bytes("nodes 3  # caf\xe9\n".encode("latin-1"))
+    for args in (
+        ("--instance", str(tmp_path / "nope.net")),
+        ("--instance", str(tmp_path)),
+        ("--instance", str(latin1)),
+        ("--gen", "ring:4", "--out", str(tmp_path)),
+    ):
+        proc = run_cli("analyze", *args)
+        assert proc.returncode == 3, args
+        assert proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_unsurvivable_topology_exit_4(tmp_path):
@@ -197,3 +208,36 @@ def test_budget_below_one_exit_3(args):
         proc = run_cli(*args, "--budget", budget)
         assert proc.returncode == 3
         assert f"--budget {budget} must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "--gen", "ring:5", "--volume", "nan"),
+    ("analyze", "--gen", "ring:5", "--volume", "inf"),
+    ("analyze", "--gen", "ring:5", "--power", "1000,73,nan"),
+    ("analyze", "--gen", "ring:5", "--sweep", "nan:40:20"),
+    ("sweep", "--gen", "ring:3:5", "--volume", "nan", "--heuristic", "osh"),
+    ("sweep", "--gen", "ring:3:5", "--volume", "nan"),
+])
+def test_non_finite_number_exit_3(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    assert "finite" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv,routes", [
+    (["sweep", "--gen", "ring:3:6", "--heuristic", "osh,ww,pp,conventional"], 4),
+    (["repro", "ring-sizes"], 13),
+])
+def test_each_instance_is_routed_once(argv, routes, monkeypatch, capsys):
+    real_route = cli.route_instance
+    calls = []
+
+    def counting_route(instance):
+        calls.append(instance)
+        return real_route(instance)
+
+    monkeypatch.setattr(cli, "route_instance", counting_route)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == routes

@@ -96,6 +96,7 @@ def test_load_instance_arbitrary11():
         ("nodes 3\nedge 1 1\n", 2, "self-loop"),
         ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\ndemand 1 1 5\n", 5, "coincide"),
         ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\ndemand 1 2 -5\n", 5, "non-negative"),
+        ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\ndemand 1 2 nan\n", 5, "non-negative"),
         ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\ndemand 1 2 5\ndemand 1 2 6\n", 6, "duplicate demand"),
         ("nodes 3\nroute 1 2\n", 2, "unknown directive"),
         ("nodes 3\nedge 1 2\n", 1, "disconnected"),
