@@ -9,11 +9,13 @@ from .bounds import (
     mesh_fluctuation,
     mesh_power,
     mesh_savings_fraction,
+    min_hop_table,
     ring_classify,
     ring_conventional_hops,
     ring_power,
     ring_savings_fraction,
     ring_shared_hops,
+    uniform_bound,
 )
 from .coding import (
     EMPTY_ASSIGNMENT,

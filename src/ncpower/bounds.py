@@ -5,6 +5,15 @@ Coded protection tightens it two ways: subtracting the matched pairs' shared
 traffic directly (per-demand form), or through the characteristic hop count
 h~ = h_min - h_shared/4 averaged over the demand set (mean form).
 
+Every bound is exact: the inputs are integer hop counts and floats (the power
+slope k and the volumes), each float is taken as the integer ratio it equals,
+the sums are formed in integer arithmetic, and each reported number is rounded
+to a float once.  So a bound does not depend on demand order, and the mean
+form equals the conventional bound whenever no demand is paired.  A generated
+uniform mesh or ring gets the same sums from its structure instead of from
+its demands (``uniform_bound``), so it answers at any size in microseconds
+and agrees with ``bound_nc`` on the generated instance bit for bit.
+
 Closed forms for uniform all-pairs traffic:
 
 * full mesh: conventional power 3kVN(N-1); savings 1/6 for odd N and
@@ -18,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .coding import CodingAssignment, EMPTY_ASSIGNMENT
 from .errors import DomainError, RoutingError
@@ -33,14 +43,11 @@ class BoundReport:
     conventional_lower: float  # no coding: 2k sum V h_min
     nc_lower_per_demand: float  # conventional minus the pairs' shared traffic
     nc_lower_mean_form: float  # 2k |D| V_avg htilde_avg
-    min_hops: dict[Demand, int]
-    shared_hops: dict[Demand, int]
-    characteristic_hops: dict[Demand, float]
     volume_avg: float
     characteristic_avg: float
 
 
-def _min_hop_table(instance: Instance) -> dict[Demand, int]:
+def min_hop_table(instance: Instance) -> dict[Demand, int]:
     """Min-hop distance per demand; one BFS per distinct destination."""
     dist_cache: dict[int, dict[int, int]] = {}
     table: dict[Demand, int] = {}
@@ -56,6 +63,62 @@ def _min_hop_table(instance: Instance) -> dict[Demand, int]:
     return table
 
 
+def _weighted_sum(terms: Iterable[tuple[float, int]]) -> tuple[int, int]:
+    """sum(x * c) over (float x, int c) as (numerator, denominator), exactly.
+
+    A float's ratio has a power-of-two denominator, so the largest one is a
+    common denominator of them all.
+    """
+    ratios = [(x.as_integer_ratio(), c) for x, c in terms]
+    den = max((d for (_, d), _ in ratios), default=1)
+    return sum(n * (den // d) * c for (n, d), c in ratios), den
+
+
+def _round(num: int, den: int) -> float:
+    """num/den rounded once to the nearest float (int/int true division).
+
+    Past the float range the result is infinite, as a float sum would be.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _bound_report(
+    slope: float,
+    volumes: dict[float, tuple[int, int]],
+    shared_total: int,
+    cuts: dict[float, int],
+) -> BoundReport:
+    """The five bound numbers from integer sums, each rounded once.
+
+    ``volumes`` maps each distinct volume V to (demand count, sum of h_min) of
+    its demands; ``shared_total`` sums the shared hops of every demand's coded
+    pair, and ``cuts`` maps min(V1, V2) to the summed shared hops of the pairs
+    with that smaller volume.
+    """
+    count = sum(c for c, _ in volumes.values())
+    if not count:
+        return BoundReport(0.0, 0.0, 0.0, 0.0, 0.0)
+    hops = sum(h for _, h in volumes.values())
+    k_num, k_den = slope.as_integer_ratio()
+    vh_num, vh_den = _weighted_sum((v, h) for v, (_, h) in volumes.items())
+    v_num, v_den = _weighted_sum((v, c) for v, (c, _) in volumes.items())
+    cut_num, cut_den = _weighted_sum(cuts.items())
+    # characteristic sum: sum(h - s/4) = (4 sum h - sum s) / 4
+    quarter_hops = 4 * hops - shared_total
+    return BoundReport(
+        conventional_lower=_round(2 * k_num * vh_num, k_den * vh_den),
+        nc_lower_per_demand=_round(
+            k_num * (2 * vh_num * cut_den - cut_num * vh_den), k_den * vh_den * cut_den
+        ),
+        nc_lower_mean_form=_round(k_num * v_num * quarter_hops, 2 * k_den * v_den * count),
+        volume_avg=_round(v_num, v_den * count),
+        characteristic_avg=_round(quarter_hops, 4 * count),
+    )
+
+
 def bound_conventional(instance: Instance) -> float:
     """Power floor of plain 1+1 protection: both paths need at least h_min hops."""
     return bound_nc(instance).conventional_lower
@@ -63,33 +126,35 @@ def bound_conventional(instance: Instance) -> float:
 
 def bound_nc(instance: Instance, assignment: CodingAssignment = EMPTY_ASSIGNMENT) -> BoundReport:
     """Lower bounds with coded protection under ``assignment``'s pairing."""
-    k = instance.power.slope_w_per_gbps
-    demands = instance.demands
-    min_hops = _min_hop_table(instance)
-    shared = {d: assignment.shared_hops(d) for d in demands}
-    characteristic = {d: min_hops[d] - shared[d] / 4 for d in demands}
+    min_hops = min_hop_table(instance)
+    volumes: dict[float, tuple[int, int]] = {}
+    for d in instance.demands:
+        count, hops = volumes.get(d.volume, (0, 0))
+        volumes[d.volume] = (count + 1, hops + min_hops[d])
+    cuts: dict[float, int] = {}
+    for p in assignment.pairs:
+        v = min(p.first.volume, p.second.volume)
+        cuts[v] = cuts.get(v, 0) + p.shared_hops
+    shared_total = sum(assignment.shared_hops(d) for d in instance.demands)
+    return _bound_report(instance.power.slope_w_per_gbps, volumes, shared_total, cuts)
 
-    conventional = 2 * k * sum(d.volume * min_hops[d] for d in demands)
-    pair_cut = sum(
-        min(p.first.volume, p.second.volume) * p.shared_hops for p in assignment.pairs
-    )
-    per_demand = k * (2 * sum(d.volume * min_hops[d] for d in demands) - pair_cut)
 
-    count = len(demands)
-    v_avg = sum(d.volume for d in demands) / count if count else 0.0
-    h_avg = sum(characteristic.values()) / count if count else 0.0
-    mean_form = 2 * k * count * v_avg * h_avg
+def uniform_bound(
+    kind: str, n: int, volume: float, params: PowerParams | None = None
+) -> BoundReport:
+    """``bound_nc`` of the generated uniform mesh or ring, with no pairing.
 
-    return BoundReport(
-        conventional_lower=conventional,
-        nc_lower_per_demand=per_demand,
-        nc_lower_mean_form=mean_form,
-        min_hops=min_hops,
-        shared_hops=shared,
-        characteristic_hops=characteristic,
-        volume_avg=v_avg,
-        characteristic_avg=h_avg,
-    )
+    Built from structure, not demands: |D| = N(N-1), and the min-hop sum is
+    N floor(N^2/4) on a ring and N(N-1) on a full mesh.
+    """
+    if n < 3:
+        raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
+    if not 0 <= volume < math.inf:
+        raise DomainError(f"volume {volume} must be finite and non-negative")
+    count = n * (n - 1)
+    hops = n * (n * n // 4) if kind == "ring" else count
+    slope = (params or PowerParams()).slope_w_per_gbps
+    return _bound_report(slope, {volume: (count, hops)}, 0, {})
 
 
 # -- full mesh ---------------------------------------------------------------

@@ -3,8 +3,8 @@
 Subcommands: analyze (power of one instance), bounds (lower bounds and closed
 forms), sweep (savings across topology sizes), repro (reference CSV tables).
 
-Exit codes: 0 ok, 2 usage, 3 bad instance, 4 no survivable routing,
-5 oracle guard exceeded.
+Exit codes: 0 ok, 2 usage, 3 bad instance or a generated size past
+EVAL_DEMAND_LIMIT, 4 no survivable routing, 5 oracle guard exceeded.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path as FilePath
 from typing import Sequence
 
-from .bounds import BoundReport, bound_nc, closed_form
+from .bounds import BoundReport, bound_nc, closed_form, uniform_bound
 from .coding import (
     COMBO_NAMES,
     EMPTY_ASSIGNMENT,
@@ -30,15 +30,16 @@ from .errors import (
     SurvivabilityError,
 )
 from .model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
-from .oracle import optimal_joint
+from .oracle import JOINT_NODE_GUARD, optimal_joint
 from .power import PowerParams, PowerReport, eval_with_coding
 from .routing import route_instance
 
 HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 
 # routing every demand costs O(demands * nodes); above this many demands the
-# bounds command reports assignment-free bounds and closed forms only
-BOUNDS_EVAL_DEMAND_LIMIT = 20_000
+# bounds command reports assignment-free bounds and closed forms only, and
+# analyze and sweep refuse a generated size
+EVAL_DEMAND_LIMIT = 20_000
 
 # every volume of an analyze --sweep is a full instance to route and select
 SWEEP_POINT_LIMIT = 10_000
@@ -60,6 +61,15 @@ def _parse_gen(spec: str) -> tuple[str, int]:
         return kind, int(size)
     except ValueError:
         raise InstanceError(f"generator size {size!r} is not an integer") from None
+
+
+def _require_evaluable(kind: str, n: int):
+    """Refuse a generated size whose N(N-1) demands exceed EVAL_DEMAND_LIMIT."""
+    if n * (n - 1) > EVAL_DEMAND_LIMIT:
+        raise InstanceError(
+            f"{kind}:{n} has {n * (n - 1)} demands, more than the {EVAL_DEMAND_LIMIT} "
+            f"that are routed and evaluated (EVAL_DEMAND_LIMIT); bounds answers any size"
+        )
 
 
 def _generate(kind: str, n: int, volume: float, power: PowerParams) -> Instance:
@@ -97,8 +107,10 @@ def _load_file(path: str, volume: float | None, power_text: str | None) -> Insta
 
 def _build_instance(args, volume: float | None) -> Instance:
     if args.gen:
+        kind, n = _parse_gen(args.gen)
+        _require_evaluable(kind, n)
         power = _parse_power(args.power)
-        return _generate(*_parse_gen(args.gen), 20.0 if volume is None else volume, power)
+        return _generate(kind, n, 20.0 if volume is None else volume, power)
     return _load_file(args.instance, volume, args.power)
 
 
@@ -206,18 +218,24 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    report = None
     if args.gen:
         params = _parse_power(args.power)
         kind, n = _parse_gen(args.gen)
         volume = 20.0 if args.volume is None else args.volume
-        instance = _generate(kind, n, volume, params)
+        demand_count = n * (n - 1)
+        instance = None if demand_count > EVAL_DEMAND_LIMIT else _generate(kind, n, volume, params)
     else:
         instance = _load_file(args.instance, args.volume, args.power)
-    if len(instance.demands) <= BOUNDS_EVAL_DEMAND_LIMIT:
+        demand_count = len(instance.demands)
+    if instance is None:
+        # past the limit the generated demands are never built: the bound's
+        # sums follow from N, so any size answers at once
+        bounds = uniform_bound(kind, n, volume, params)
+    elif demand_count <= EVAL_DEMAND_LIMIT:
         [(report, selection)] = _evaluate(instance, [args.heuristic], args.budget)
         bounds = bound_nc(instance, selection.assignment)
     else:
-        report = None
         bounds = bound_nc(instance)
     print(f"conventional_lower: {fmt(bounds.conventional_lower)} W")
     print(f"nc_lower_per_demand: {fmt(bounds.nc_lower_per_demand)} W")
@@ -228,8 +246,8 @@ def _cmd_bounds(args) -> int:
         print(f"achieved_power: {fmt(report.p_total)} W ({args.heuristic})")
     else:
         print(
-            f"achieved_power: skipped ({len(instance.demands)} demands exceed "
-            f"{BOUNDS_EVAL_DEMAND_LIMIT}; bounds assume no pairing)"
+            f"achieved_power: skipped ({demand_count} demands exceed "
+            f"{EVAL_DEMAND_LIMIT}; bounds assume no pairing)"
         )
     if args.gen:
         conv, coded, savings, label = closed_form(kind, n, volume, params)
@@ -277,6 +295,15 @@ def _cmd_sweep(args) -> int:
             raise InstanceError(f"unknown heuristic {h!r}")
     params = _parse_power(args.power)
     volume = 20.0 if args.volume is None else args.volume
+    if heuristics:
+        # the largest size is the first to pass either guard, so checking it
+        # refuses the sweep before any row is computed
+        _require_evaluable(kind, sizes[-1])
+        if "oracle" in heuristics and sizes[-1] > JOINT_NODE_GUARD:
+            raise OracleGuardError(
+                f"joint oracle refuses {kind}:{sizes[-1]} ({sizes[-1]} nodes, limit "
+                f"{JOINT_NODE_GUARD}); narrow the sweep or drop the oracle column"
+            )
 
     header = ["size", "class", "analytic_pct"] + [f"{h}_pct" for h in heuristics]
     rows = [_size_row(kind, n, volume, params, heuristics, args.budget) for n in sizes]

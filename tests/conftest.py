@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
@@ -72,6 +73,40 @@ def brute_min_pairs(topology: Topology, source: int, dest: int) -> list[tuple[tu
         if pairs:
             return sorted(pairs)
     return []
+
+
+def exact_bounds(instance: Instance, assignment) -> dict[str, float]:
+    """The five ``BoundReport`` numbers in Fraction arithmetic, each rounded once.
+
+    Summed demand by demand in instance order, with min hops from networkx
+    BFS; the slope k and every volume enter as the exact value of their float.
+    """
+    graph = nx.Graph(list(instance.topology.undirected_edges))
+    graph.add_nodes_from(range(1, instance.topology.node_count + 1))
+    k = Fraction(instance.power.slope_w_per_gbps)
+    distances: dict[int, dict[int, int]] = {}
+    volume_hops = volume = Fraction(0)
+    quarter_characteristic = 0  # sum of 4 * (h_min - shared / 4)
+    for d in instance.demands:
+        if d.dest not in distances:
+            distances[d.dest] = nx.single_source_shortest_path_length(graph, d.dest)
+        hops = distances[d.dest][d.source]
+        v = Fraction(d.volume)
+        volume_hops += v * hops
+        volume += v
+        quarter_characteristic += 4 * hops - assignment.shared_hops(d)
+    cut = Fraction(0)
+    for pair in assignment.pairs:
+        cut += Fraction(min(pair.first.volume, pair.second.volume)) * pair.shared_hops
+    count = len(instance.demands)
+    characteristic = Fraction(quarter_characteristic, 4)
+    return {
+        "conventional_lower": float(2 * k * volume_hops),
+        "nc_lower_per_demand": float(k * (2 * volume_hops - cut)),
+        "nc_lower_mean_form": float(2 * k * count * (volume / count) * (characteristic / count)),
+        "volume_avg": float(volume / count),
+        "characteristic_avg": float(characteristic / count),
+    }
 
 
 def grid_topology(rows: int, cols: int) -> Topology:

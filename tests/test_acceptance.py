@@ -22,6 +22,7 @@ from ncpower.bounds import (
     bound_nc,
     mesh_fluctuation,
     mesh_savings_fraction,
+    min_hop_table,
     ring_savings_fraction,
 )
 from ncpower.coding import KIND_COMBOS, PathKind, select_pairs_fixed, select_pairs_osh
@@ -202,6 +203,7 @@ def test_acceptance_6_bound_validity(capsys, random_instances_uniform):
         achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
         conventional = eval_conventional(inst, routing)
         report = bound_nc(inst, sel.assignment)
+        min_hops = min_hop_table(inst)
         tol = 1e-9 * max(1.0, conventional)
         if achieved < report.nc_lower_per_demand - tol:
             violations.append(f"#{idx} per-demand bound")
@@ -210,7 +212,7 @@ def test_acceptance_6_bound_validity(capsys, random_instances_uniform):
         if conventional < bound_conventional(inst) - tol:
             violations.append(f"#{idx} conventional bound")
         for pair in sel.routing:
-            if pair.total_hops < 2 * report.min_hops[pair.demand]:
+            if pair.total_hops < 2 * min_hops[pair.demand]:
                 violations.append(f"#{idx} hop floor {pair.demand}")
     verdict(capsys, 6, "bound validity",
             not violations, f"{len(violations)} violations")

@@ -1,12 +1,13 @@
 """Lower bounds and the closed-form mesh/ring results."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from conftest import random_survivable_instance
+from conftest import exact_bounds, random_survivable_instance
 
 from ncpower.bounds import (
     RingClass,
@@ -15,16 +16,18 @@ from ncpower.bounds import (
     mesh_fluctuation,
     mesh_power,
     mesh_savings_fraction,
+    min_hop_table,
     ring_classify,
     ring_conventional_hops,
     ring_power,
     ring_savings_fraction,
     ring_shared_hops,
+    uniform_bound,
 )
 from ncpower.coding import EMPTY_ASSIGNMENT, select_pairs_osh
 from ncpower.errors import DomainError
 from ncpower.model import generate_full_mesh, generate_ring
-from ncpower.power import eval_conventional, eval_with_coding
+from ncpower.power import PowerParams, eval_conventional, eval_with_coding
 from ncpower.routing import route_instance
 
 EXPECTED_RING_CLASS = {
@@ -54,9 +57,10 @@ def test_mesh5_bounds_under_optimal_assignment():
     report = bound_nc(inst, sel.assignment)
     assert report.nc_lower_per_demand == pytest.approx(16095.0, abs=1e-9)
     assert report.nc_lower_mean_form == pytest.approx(16095.0, abs=1e-9)
-    assert all(h == 1 for h in report.min_hops.values())
-    assert all(h == 1 for h in report.shared_hops.values())
-    assert all(h == 0.75 for h in report.characteristic_hops.values())
+    min_hops = min_hop_table(inst)
+    assert all(min_hops[d] == 1 for d in inst.demands)
+    assert all(sel.assignment.shared_hops(d) == 1 for d in inst.demands)
+    assert all(min_hops[d] - sel.assignment.shared_hops(d) / 4 == 0.75 for d in inst.demands)
     assert report.volume_avg == 20.0
     assert report.characteristic_avg == 0.75
 
@@ -66,7 +70,7 @@ def test_bounds_with_empty_assignment_collapse_to_conventional():
     report = bound_nc(inst, EMPTY_ASSIGNMENT)
     assert report.nc_lower_per_demand == report.conventional_lower
     assert report.nc_lower_mean_form == pytest.approx(report.conventional_lower, rel=1e-12)
-    assert all(v == 0 for v in report.shared_hops.values())
+    assert all(EMPTY_ASSIGNMENT.shared_hops(d) == 0 for d in inst.demands)
 
 
 def test_mesh_closed_forms():
@@ -153,6 +157,55 @@ def test_min_hop_pair_floor():
     # each demand's pair costs at least twice its min-hop distance
     rng = random.Random(22)
     inst = random_survivable_instance(rng, volume=20.0)
-    report = bound_nc(inst, EMPTY_ASSIGNMENT)
+    min_hops = min_hop_table(inst)
     for pair in route_instance(inst):
-        assert pair.total_hops >= 2 * report.min_hops[pair.demand]
+        assert pair.total_hops >= 2 * min_hops[pair.demand]
+
+
+UNIFORM_VOLUMES = (0.0, 0.001, 0.1, 1 / 3, 20.0, 33.5, 1e6)
+POWER_MODELS = (PowerParams(), PowerParams(900.0, 50.0, 100.0))
+
+
+def test_bounds_equal_exact_reference_under_osh(random_instances):
+    for inst in random_instances:
+        sel = select_pairs_osh(inst, route_instance(inst))
+        assert sel.assignment.pairs
+        report = bound_nc(inst, sel.assignment)
+        assert dataclasses.asdict(report) == exact_bounds(inst, sel.assignment)
+
+
+@pytest.mark.parametrize("kind", ["mesh", "ring"])
+def test_uniform_bounds_equal_exact_reference(kind):
+    generate = generate_full_mesh if kind == "mesh" else generate_ring
+    for n in range(3, 41):
+        for volume in UNIFORM_VOLUMES:
+            for params in POWER_MODELS:
+                inst = generate(n, volume, params)
+                report = bound_nc(inst)
+                assert dataclasses.asdict(report) == exact_bounds(inst, EMPTY_ASSIGNMENT), (n, volume, params)
+                assert uniform_bound(kind, n, volume, params) == report, (n, volume, params)
+
+
+def test_mean_form_equals_conventional_without_pairing():
+    # summing 22,350 rounded floats in sequence put the two forms one unit
+    # apart in the sixth printed digit (16031.2 vs 16031.3 W)
+    params = PowerParams(900.0, 50.0, 100.0)
+    report = bound_nc(generate_ring(150, 0.001, params))
+    assert report.nc_lower_mean_form == report.conventional_lower
+    assert uniform_bound("ring", 150, 0.001, params) == report
+    assert f"{report.conventional_lower:.6g}" == "16031.2"
+
+
+def test_uniform_bound_rejects_bad_inputs():
+    with pytest.raises(DomainError):
+        uniform_bound("ring", 2, 20.0)
+    for volume in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            uniform_bound("mesh", 5, volume)
+
+
+def test_bounds_past_the_float_range_are_infinite():
+    # the exact quotient is too large for a float, as the float sums were
+    report = uniform_bound("ring", 1001, 1e306)
+    assert report.conventional_lower == report.nc_lower_mean_form == float("inf")
+    assert report.volume_avg == 1e306

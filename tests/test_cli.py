@@ -1,14 +1,16 @@
 """End-to-end command line checks, run through a real subprocess."""
 from __future__ import annotations
 
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from conftest import DATA_DIR
 
 from ncpower import cli
-from ncpower.cli import SWEEP_POINT_LIMIT, _sweep_volumes
+from ncpower.cli import EVAL_DEMAND_LIMIT, SWEEP_POINT_LIMIT, _require_evaluable, _sweep_volumes
 from ncpower.errors import InstanceError
 
 GOLDEN = {
@@ -26,6 +28,27 @@ def run_cli(*args: str) -> subprocess.CompletedProcess[str]:
         text=True,
         timeout=300,
     )
+
+
+def _cap_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_cli_timed(*args: str) -> tuple[subprocess.CompletedProcess[str], float]:
+    """run_cli under a 1 GiB address-space cap, with its wall time.
+
+    The cap turns a size that would exhaust memory into a quick failure.
+    """
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncpower.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_memory,
+    )
+    return proc, time.perf_counter() - start
 
 
 def test_analyze_report_text():
@@ -84,6 +107,47 @@ def test_bounds_skips_heuristic_on_huge_instances():
     assert proc.returncode == 0
     assert "achieved_power: skipped" in proc.stdout
     assert "class=even-1" in proc.stdout
+
+
+@pytest.mark.parametrize("spec,label", [("ring:100001", "odd-2"), ("mesh:100001", "odd")])
+def test_bounds_answer_any_generated_size(spec, label):
+    # 10,000,100,000 demands: the bounds come from the size, not from demands
+    proc, seconds = run_cli_timed("bounds", "--gen", spec)
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 1.0
+    assert "achieved_power: skipped (10000100000 demands exceed" in proc.stdout
+    assert proc.stdout.rstrip().endswith(f"class={label}")
+
+
+def test_generated_size_guard_exit_3():
+    # refused before any instance is generated, so at once and in little memory
+    for argv in (
+        ("analyze", "--gen", "ring:100001"),
+        ("analyze", "--gen", "mesh:100001", "--sweep", "20:40:20"),
+        ("sweep", "--gen", "ring:3:100001:99998", "--heuristic", "pp"),
+    ):
+        proc, seconds = run_cli_timed(*argv)
+        assert proc.returncode == 3, argv
+        assert f"more than the {EVAL_DEMAND_LIMIT}" in proc.stderr
+        assert proc.stdout == ""
+        assert seconds < 1.0
+    # without heuristic columns sweep prints closed forms at any size
+    proc, _ = run_cli_timed("sweep", "--gen", "ring:3:100001:99998")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1].startswith("100001,odd-2,")
+    _require_evaluable("ring", 141)  # 19,740 demands
+    with pytest.raises(InstanceError):
+        _require_evaluable("mesh", 142)  # 20,022 demands
+
+
+def test_sweep_oracle_guard_up_front(capsys):
+    # the oracle's node guard is met by the largest size, so no row is computed
+    start = time.perf_counter()
+    assert cli.main(["sweep", "--gen", "mesh:3:9", "--heuristic", "osh,oracle"]) == 5
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "joint oracle" in captured.err
 
 
 def test_sweep_sizes():
