@@ -22,10 +22,7 @@ from .coding import (
     KIND_COMBOS,
     CodedPair,
     CodingAssignment,
-    EncodableGraph,
     SelectionResult,
-    build_encodable_graph,
-    pair_benefit,
     select_pairs_fixed,
     select_pairs_osh,
 )

@@ -13,10 +13,6 @@ re-route among its equal-cost disjoint-pair candidates.  Because candidates
 all have the minimum total hop count, the uncoded power term is invariant and
 the per-pair benefit decomposes, so a per-cluster max-weight matching over
 per-pair-maximised weights is exactly optimal on this search space.
-
-``build_encodable_graph`` lists every feasible coded pair of a fixed routing
-through ``pair_benefit``; the matching oracle scores pairs with it, apart
-from the selectors' own scoring.
 """
 from __future__ import annotations
 
@@ -28,8 +24,7 @@ from typing import Iterable, Sequence
 from .errors import ContractError, FeasibilityError
 from .matching import exhaustive_matching, max_weight_matching
 from .model import Demand, Instance, Link
-from .power import PowerParams
-from .routing import Path, PathKind, PathPair, disjoint_pair_candidates, index_routing
+from .routing import PathKind, PathPair, disjoint_pair_candidates, index_routing
 
 _W = PathKind.WORKING
 _P = PathKind.PROTECTION
@@ -104,18 +99,6 @@ class CodingAssignment:
 EMPTY_ASSIGNMENT = CodingAssignment(())
 
 
-@dataclass(frozen=True, eq=False)
-class EncodableGraph:
-    """Demands as vertices; an edge per feasible (pair, kind combo)."""
-
-    demands: tuple[Demand, ...]
-    edges: dict[tuple[Demand, Demand, PathKind, PathKind], CodedPair]
-
-    def clusters(self) -> dict[int, tuple[Demand, ...]]:
-        """Demands grouped by destination, sources ascending."""
-        return _clusters(self.demands)
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     """A coding assignment plus the routing it is valid against."""
@@ -124,45 +107,8 @@ class SelectionResult:
     routing: tuple[PathPair, ...]
 
 
-def pair_benefit(
-    d1: Demand,
-    d2: Demand,
-    path1: Path,
-    path2: Path,
-    params: PowerParams,
-) -> tuple[frozenset[Link], float]:
-    """Shared directed links of the two encoded paths and the power they save."""
-    if d1.dest != d2.dest:
-        raise FeasibilityError(f"cannot encode {d1} with {d2}: destinations differ")
-    shared = path1.link_set & path2.link_set
-    benefit = params.slope_w_per_gbps * min(d1.volume, d2.volume) * len(shared)
-    return shared, benefit
-
-
-def build_encodable_graph(
-    instance: Instance,
-    routing: Iterable[PathPair],
-    combos: Sequence[tuple[PathKind, PathKind]] = KIND_COMBOS,
-) -> EncodableGraph:
-    """Feasible coded pairs on a fixed routing.
-
-    Edge keys order each demand pair by source id; the first kind applies to
-    the lower-source demand.  Clusters are per-destination by construction.
-    """
-    by_demand = index_routing(instance, routing)
-    edges: dict[tuple[Demand, Demand, PathKind, PathKind], CodedPair] = {}
-    for demands in _clusters(instance.demands).values():
-        for d1, d2 in itertools.combinations(demands, 2):
-            for k1, k2 in combos:
-                shared, benefit = pair_benefit(
-                    d1, d2, by_demand[d1].path(k1), by_demand[d2].path(k2), instance.power
-                )
-                if shared:
-                    edges[(d1, d2, k1, k2)] = CodedPair(d1, d2, k1, k2, shared, benefit)
-    return EncodableGraph(demands=instance.demands, edges=edges)
-
-
 def _clusters(demands: Sequence[Demand]) -> dict[int, tuple[Demand, ...]]:
+    """Demands grouped by destination, sources ascending."""
     by_dest: dict[int, list[Demand]] = {}
     for d in demands:
         by_dest.setdefault(d.dest, []).append(d)

@@ -63,8 +63,6 @@ class Topology:
         return {n: tuple(sorted(ns)) for n, ns in nbrs.items()}
 
     def is_connected(self) -> bool:
-        if self.node_count == 0:
-            return True
         seen = {1}
         stack = [1]
         while stack:

@@ -1,13 +1,13 @@
 """Brute-force baselines for cross-validating the coding heuristics.
 
-``optimal_matching`` enumerates every matching per destination cluster on a
-fixed routing; ``optimal_joint`` additionally enumerates the cross-product of
-per-demand disjoint-pair candidates.  Both walk the matchings with
-:func:`ncpower.matching.exhaustive_matching`, the search that also serves
-small clusters in :mod:`ncpower.coding` and that the tests check against
-networkx.  Pair scoring stays independent of the selectors:
-``optimal_matching`` scores pairs through ``build_encodable_graph`` and
-``optimal_joint`` through its own ``pair_value``, so a scoring fault in the
+Both oracles run one search body.  Every destination cluster is searched
+separately: for each tuple of its demands' candidate pairs, every matching is
+walked with :func:`ncpower.matching.exhaustive_matching`, the search that
+also serves small clusters in :mod:`ncpower.coding` and that the tests check
+against networkx.  ``optimal_matching`` gives each demand a pool of its own
+routed pair, so only the matchings vary; ``optimal_joint`` gives it its
+disjoint-pair candidates.  Pairs are scored by the oracle's own
+``pair_value``, independent of the selectors, so a scoring fault in the
 selectors' shared body shows up as a disagreement with the oracles.
 """
 from __future__ import annotations
@@ -22,13 +22,12 @@ from .coding import (
     CodingAssignment,
     PathKind,
     _clusters,
-    build_encodable_graph,
 )
 from .errors import OracleGuardError
 from .matching import exhaustive_matching
-from .model import Instance
+from .model import Demand, Instance
 from .power import eval_with_coding
-from .routing import PathPair, disjoint_pair_candidates
+from .routing import PathPair, disjoint_pair_candidates, index_routing
 
 MATCHING_GUARD = 1 << 20  # max matchings enumerated per cluster
 JOINT_NODE_GUARD = 7  # optimal_joint refuses larger instances
@@ -53,40 +52,8 @@ def optimal_matching(
     cluster separately; ``explored`` sums the enumerated matchings.  Raises
     OracleGuardError when a cluster holds more than 2**20 matchings.
     """
-    routing = tuple(routing)
-    graph = build_encodable_graph(instance, routing, combos)
-    chosen: list[CodedPair] = []
-    explored = 0
-
-    for dest, demands in graph.clusters().items():
-        n = len(demands)
-        edge_best: dict[tuple[int, int], CodedPair] = {}
-        for (i, d1), (j, d2) in itertools.combinations(enumerate(demands), 2):
-            best = None
-            for combo in combos:
-                pair = graph.edges.get((d1, d2, combo[0], combo[1]))
-                if pair is not None and (best is None or pair.benefit > best.benefit):
-                    best = pair
-            if best is not None:
-                edge_best[(i, j)] = best
-        weights = {e: pair.benefit for e, pair in edge_best.items()}
-        best_edges, _, count = exhaustive_matching(n, weights, MATCHING_GUARD)
-        if count > MATCHING_GUARD:
-            raise OracleGuardError(
-                f"cluster for destination {dest} ({n} demands) exceeds "
-                f"{MATCHING_GUARD} matchings"
-            )
-        explored += count
-        chosen.extend(edge_best[e] for e in best_edges)
-
-    assignment = CodingAssignment(tuple(chosen))
-    report = eval_with_coding(instance, routing, assignment)
-    return OracleResult(
-        best_power=report.p_total,
-        best_assignment=assignment,
-        best_routing=routing,
-        explored=explored,
-    )
+    pools = {d: [pair] for d, pair in index_routing(instance, routing).items()}
+    return _search(instance, pools, combos)
 
 
 def optimal_joint(instance: Instance, candidate_budget: int = 8) -> OracleResult:
@@ -105,21 +72,34 @@ def optimal_joint(instance: Instance, candidate_budget: int = 8) -> OracleResult
         d: disjoint_pair_candidates(instance.topology, d, candidate_budget)
         for d in instance.demands
     }
+    return _search(instance, pools, KIND_COMBOS)
 
+
+def _search(
+    instance: Instance,
+    pools: dict[Demand, list[PathPair]],
+    combos: Sequence[tuple[PathKind, PathKind]],
+) -> OracleResult:
+    """Every candidate tuple x every matching, per destination cluster.
+
+    Unmatched demands keep the head of their pool.  ``explored`` sums the
+    matchings visited; a walk past MATCHING_GUARD matchings raises
+    OracleGuardError.
+    """
     final_routing = {d: pool[0] for d, pool in pools.items()}
     chosen: list[CodedPair] = []
     explored = 0
 
-    for demands in _clusters(instance.demands).values():
+    for dest, demands in _clusters(instance.demands).items():
         n = len(demands)
         cluster_pools = [pools[d] for d in demands]
 
-        # benefit of pair (i, j) when i uses candidate ci and j uses cj:
-        # best over the four kind combos; volumes factored in
+        # links shared by pair (i, j) when i uses candidate ci and j uses cj:
+        # the most over ``combos``, the first of equal counts
         def pair_value(i, ci, j, cj):
             best_shared: frozenset | None = None
             best_combo = None
-            for combo in KIND_COMBOS:
+            for combo in combos:
                 shared = (
                     cluster_pools[i][ci].path(combo[0]).link_set
                     & cluster_pools[j][cj].path(combo[1]).link_set
@@ -147,7 +127,12 @@ def optimal_joint(instance: Instance, candidate_budget: int = 8) -> OracleResult
                 hit = values.get((i, cand_idx[i], j, cand_idx[j]))
                 if hit is not None:
                     weights[(i, j)] = hit[2]
-            matching, value, count = exhaustive_matching(n, weights)
+            matching, value, count = exhaustive_matching(n, weights, MATCHING_GUARD)
+            if count > MATCHING_GUARD:
+                raise OracleGuardError(
+                    f"cluster for destination {dest} ({n} demands) exceeds "
+                    f"{MATCHING_GUARD} matchings"
+                )
             explored += count
             if value > best_value:
                 best_value = value

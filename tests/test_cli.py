@@ -140,6 +140,28 @@ def test_generated_size_guard_exit_3():
         _require_evaluable("mesh", 142)  # 20,022 demands
 
 
+class _Generated(Exception):
+    pass
+
+
+def _refuse_generation(*args):
+    raise _Generated(args)
+
+
+def test_sweep_demand_guard_sums_every_size(monkeypatch, capsys):
+    # ring:3:40 has no size past the limit on its own, but routes 21,318
+    # demands in all; the refusal comes before any instance is generated
+    monkeypatch.setattr(cli, "_generate", _refuse_generation)
+    assert cli.main(["sweep", "--gen", "ring:3:40", "--heuristic", "osh"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "21318 demands" in captured.err
+    assert f"more than the {EVAL_DEMAND_LIMIT}" in captured.err
+    # ring:3:30 (8,988 demands) passes the guard and reaches generation
+    with pytest.raises(_Generated):
+        cli.main(["sweep", "--gen", "ring:3:30", "--heuristic", "osh"])
+
+
 def test_sweep_oracle_guard_up_front(capsys):
     # the oracle's node guard is met by the largest size, so no row is computed
     start = time.perf_counter()

@@ -15,49 +15,17 @@ from ncpower.coding import (
     CodedPair,
     CodingAssignment,
     PathKind,
-    build_encodable_graph,
     max_weight_pairs,
-    pair_benefit,
     select_pairs_fixed,
     select_pairs_osh,
 )
 from ncpower.errors import ContractError, FeasibilityError
 from ncpower.matching import exhaustive_matching, max_weight_matching
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
-from ncpower.power import PowerParams, eval_with_coding
-from ncpower.routing import Path, route_instance
+from ncpower.power import eval_with_coding
+from ncpower.routing import route_instance
 
 W, P = PathKind.WORKING, PathKind.PROTECTION
-
-
-def test_pair_benefit_values():
-    d1 = Demand(2, 11, 10.0)
-    d2 = Demand(3, 11, 30.0)
-    p1 = Path((2, 1, 8, 9, 10, 11))
-    p2 = Path((3, 1, 8, 9, 10, 11))
-    shared, benefit = pair_benefit(d1, d2, p1, p2, PowerParams())
-    assert shared == {(1, 8), (8, 9), (9, 10), (10, 11)}
-    assert benefit == pytest.approx(26.825 * 10.0 * 4, abs=1e-9)
-
-    # two shared hops at min volume 10 -> 536.5 W
-    shared2, benefit2 = pair_benefit(
-        d1, d2, Path((2, 9, 10, 11)), Path((3, 1, 9, 10, 11)), PowerParams()
-    )
-    assert len(shared2) == 2
-    assert benefit2 == pytest.approx(536.5, abs=1e-9)
-
-
-def test_pair_benefit_rejects_different_destinations():
-    with pytest.raises(FeasibilityError, match="destinations differ"):
-        pair_benefit(Demand(1, 3, 5.0), Demand(1, 4, 5.0), Path((1, 3)), Path((1, 4)), PowerParams())
-
-
-def test_pair_benefit_disjoint_paths_share_nothing():
-    shared, benefit = pair_benefit(
-        Demand(1, 3, 5.0), Demand(2, 3, 5.0), Path((1, 3)), Path((2, 3)), PowerParams()
-    )
-    assert shared == frozenset()
-    assert benefit == 0.0
 
 
 def test_coded_pair_validation():
@@ -67,7 +35,7 @@ def test_coded_pair_validation():
         CodedPair(d2, d1, P, P, links, 1.0)
     with pytest.raises(ContractError, match="shared links"):
         CodedPair(d1, d2, P, P, frozenset(), 1.0)
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match="destinations differ"):
         CodedPair(Demand(1, 3, 5.0), Demand(2, 4, 5.0), P, P, links, 1.0)
 
 
@@ -80,44 +48,61 @@ def test_assignment_rejects_demand_reuse():
         CodingAssignment((pair_a, pair_b))
 
 
+def _shared_links(inst, combos=KIND_COMBOS):
+    """(d1, d2, k1, k2) -> links shared by the routed paths, for each same-cluster pair.
+
+    d1 has the lower source and uses its k1 path; pairs sharing nothing are left out.
+    """
+    by_demand = {pair.demand: pair for pair in route_instance(inst)}
+    edges = {}
+    for demands in coding._clusters(inst.demands).values():
+        for d1, d2 in itertools.combinations(demands, 2):
+            for k1, k2 in combos:
+                shared = by_demand[d1].path(k1).link_set & by_demand[d2].path(k2).link_set
+                if shared:
+                    edges[(d1, d2, k1, k2)] = shared
+    return edges
+
+
 def test_mesh4_protection_graph_has_one_unit_edge_per_cluster():
     inst = generate_full_mesh(4, 20.0)
-    graph = build_encodable_graph(inst, route_instance(inst), ((P, P),))
-    clusters = graph.clusters()
+    edges = _shared_links(inst, ((P, P),))
+    clusters = coding._clusters(inst.demands)
     assert set(clusters) == {1, 2, 3, 4}
     by_dest: dict[int, list] = {t: [] for t in clusters}
-    for (d1, d2, k1, k2), pair in graph.edges.items():
+    for (d1, d2, k1, k2), shared in edges.items():
         assert k1 is P and k2 is P
-        by_dest[d1.dest].append(pair)
-    for dest, pairs in by_dest.items():
-        assert len(pairs) == 1
-        assert pairs[0].shared_hops == 1
+        by_dest[d1.dest].append(shared)
+    for dest, shared_sets in by_dest.items():
+        assert len(shared_sets) == 1
+        assert len(shared_sets[0]) == 1
 
 
 def test_mesh5_working_graph_is_empty():
     inst = generate_full_mesh(5, 20.0)
-    graph = build_encodable_graph(inst, route_instance(inst), ((W, W),))
-    assert graph.edges == {}
+    assert _shared_links(inst, ((W, W),)) == {}
 
 
 def test_ring11_adjacent_protections_share_nine_hops():
     inst = generate_ring(11, 20.0)
-    graph = build_encodable_graph(inst, route_instance(inst), ((P, P),))
+    edges = _shared_links(inst, ((P, P),))
     d1 = Demand(1, 11, 20.0)
     d2 = Demand(2, 11, 20.0)
-    pair = graph.edges[(d1, d2, P, P)]
-    assert pair.shared_hops == 9
+    assert len(edges[(d1, d2, P, P)]) == 9
 
 
 def test_clusters_group_by_destination():
     inst = generate_ring(5, 20.0)
-    graph = build_encodable_graph(inst, route_instance(inst))
-    clusters = graph.clusters()
+    clusters = coding._clusters(inst.demands)
     for dest, demands in clusters.items():
         assert all(d.dest == dest for d in demands)
         assert [d.source for d in demands] == sorted(d.source for d in demands)
+    # every demand lands in exactly one cluster
+    grouped = [d for demands in clusters.values() for d in demands]
+    assert len(grouped) == len(inst.demands)
+    assert set(grouped) == set(inst.demands)
     # every feasible edge stays inside one cluster
-    for (d1, d2, _, _) in graph.edges:
+    for (d1, d2, _, _) in _shared_links(inst):
         assert d1.dest == d2.dest
 
 
@@ -279,9 +264,9 @@ def test_osh_reroutes_to_align_protections():
     routing = route_instance(inst)
     # on the default routing the protections share nothing with each other,
     # and the best mixed-kind overlap is 3 links
-    graph = build_encodable_graph(inst, routing)
-    assert not any(k1 is P and k2 is P for (_, _, k1, k2) in graph.edges)
-    assert max(pair.shared_hops for pair in graph.edges.values()) == 3
+    edges = _shared_links(inst)
+    assert not any(k1 is P and k2 is P for (_, _, k1, k2) in edges)
+    assert max(len(shared) for shared in edges.values()) == 3
     # re-routing both protections onto the spare branch shares 4 links instead
     sel = select_pairs_osh(inst, routing)
     report = eval_with_coding(inst, sel.routing, sel.assignment)

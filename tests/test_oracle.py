@@ -39,6 +39,11 @@ def test_osh_matches_matching_oracle_on_rings(n):
     result = optimal_matching(inst, routing)
     achieved = eval_with_coding(inst, sel.routing, sel.assignment)
     assert achieved.p_total == pytest.approx(result.best_power, abs=1e-9)
+    # one candidate pair per demand leaves the joint oracle the same search
+    if n <= 7:
+        for volume in (20.0, 1 / 3, 0.0):
+            inst = generate_ring(n, volume)
+            assert optimal_joint(inst) == optimal_matching(inst, route_instance(inst))
 
 
 def test_oracle_with_no_feasible_pairs_returns_conventional():
