@@ -31,9 +31,8 @@ from typing import Iterable
 
 from .coding import CodingAssignment, EMPTY_ASSIGNMENT
 from .errors import DomainError, RoutingError
-from .model import Demand, Instance
+from .model import Demand, Instance, _bfs_dist
 from .power import PowerParams
-from .routing import _bfs_dist
 
 
 @dataclass(frozen=True)

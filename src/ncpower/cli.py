@@ -40,7 +40,8 @@ HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 # analyze and sweep refuse a generated size
 EVAL_DEMAND_LIMIT = 20_000
 
-# every volume of an analyze --sweep is a full instance to route and select
+# every volume of an analyze --sweep is a full instance to route and select,
+# and every size of a sweep a row; both refuse more than this many points
 SWEEP_POINT_LIMIT = 10_000
 
 POWER_HEADER = ["conventional_w", "total_w", "reduction_w", "savings_pct"]
@@ -311,6 +312,8 @@ def _cmd_sweep(args) -> int:
                 f"joint oracle refuses {kind}:{sizes[-1]} ({sizes[-1]} nodes, limit "
                 f"{JOINT_NODE_GUARD}); narrow the sweep or drop the oracle column"
             )
+    if len(sizes) > SWEEP_POINT_LIMIT:
+        raise InstanceError(f"sweep {args.gen} spans more than {SWEEP_POINT_LIMIT} sizes")
 
     header = ["size", "class", "analytic_pct"] + [f"{h}_pct" for h in heuristics]
     rows = [_size_row(kind, n, volume, params, heuristics, args.budget) for n in sizes]

@@ -13,16 +13,19 @@ re-route among its equal-cost disjoint-pair candidates.  Because candidates
 all have the minimum total hop count, the uncoded power term is invariant and
 the per-pair benefit decomposes, so a per-cluster max-weight matching over
 per-pair-maximised weights is exactly optimal on this search space.
+A pair weighs min(u1, u2) times its shared links, u being each demand's volume
+in exact integer units, and the blossom algorithm matches every cluster.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ContractError, FeasibilityError
-from .matching import exhaustive_matching, max_weight_matching
+from .matching import max_weight_matching
 from .model import Demand, Instance, Link
 from .routing import PathKind, PathPair, disjoint_pair_candidates, index_routing
 
@@ -32,9 +35,6 @@ _P = PathKind.PROTECTION
 KIND_COMBOS: tuple[tuple[PathKind, PathKind], ...] = ((_W, _W), (_W, _P), (_P, _W), (_P, _P))
 
 COMBO_NAMES = {"ww": (_W, _W), "wp": (_W, _P), "pw": (_P, _W), "pp": (_P, _P)}
-
-# beyond this cluster size, switch from exhaustive matching to blossom
-EXHAUSTIVE_MATCHING_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -118,25 +118,32 @@ def _clusters(demands: Sequence[Demand]) -> dict[int, tuple[Demand, ...]]:
 # -- max-weight matching -----------------------------------------------------
 
 
-def max_weight_pairs(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
-    """Max-weight matching on vertices 0..n-1; exhaustive for small n.
+def max_weight_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """Max-weight matching on vertices 0..n-1 over the positive int weights.
 
-    The exhaustive search keeps the lexicographically first of equal-weight
-    matchings; the blossom breaks ties as networkx does.
+    The blossom algorithm serves every cluster size and breaks ties as
+    networkx does.
     """
     weights = {key: w for key, w in weights.items() if w > 0}
     if not weights:
         return []
-    if n <= EXHAUSTIVE_MATCHING_LIMIT:
-        return exhaustive_matching(n, weights)[0]
     return max_weight_matching(n, weights)
 
 
 # -- selectors ---------------------------------------------------------------
 
 
-def _uniform_volume(demands: Sequence[Demand]) -> bool:
-    return len({d.volume for d in demands}) <= 1
+def _volume_units(demands: Sequence[Demand]) -> dict[Demand, int]:
+    """Volumes as ints in exact proportion: equal volumes get 1, all-zero stay 0.
+
+    Each volume p/q is scaled to the largest q, a common denominator since
+    float denominators are powers of two, and divided by the gcd of all.
+    """
+    ratios = {d: d.volume.as_integer_ratio() for d in demands}
+    denominator = max((q for _, q in ratios.values()), default=1)
+    units = {d: p * (denominator // q) for d, (p, q) in ratios.items()}
+    unit = math.gcd(*units.values())
+    return {d: u // unit for d, u in units.items()} if unit else units
 
 
 def _kind_link_sets(pool: Sequence[PathPair], kind: PathKind) -> list[tuple[frozenset[Link], int]]:
@@ -158,11 +165,12 @@ def _select(
     """Per-cluster max-weight matching over per-pair-maximised weights.
 
     A demand pair weighs its most shared links over the two demands' pools
-    and ``combos``; the first maximum in combo, then pool order, wins.
+    and ``combos``, times the smaller of their volume units; the first
+    maximum in combo, then pool order, wins.
     Matched demands adopt the candidates of their pair's maximum; unmatched
     demands keep ``routing``.  The result lists demands in instance order.
     """
-    uniform = _uniform_volume(instance.demands)
+    units = _volume_units(instance.demands)
     kinds: dict[tuple[Demand, PathKind], list[tuple[frozenset[Link], int]]] = {}
     for d, pool in pools.items():
         for kind in (_W, _P):
@@ -171,7 +179,7 @@ def _select(
     new_routing = dict(routing)
     chosen: list[CodedPair] = []
     for demands in _clusters(instance.demands).values():
-        weights: dict[tuple[int, int], float] = {}
+        weights: dict[tuple[int, int], int] = {}
         picks: dict[tuple[int, int], tuple[int, int, tuple[PathKind, PathKind], frozenset[Link]]] = {}
         for (i, d1), (j, d2) in itertools.combinations(enumerate(demands), 2):
             best_shared = 0
@@ -185,10 +193,7 @@ def _select(
                             best = (idx1, idx2, combo, shared)
             if best is not None:
                 picks[(i, j)] = best
-                # integral weights keep the matching exact for uniform volumes
-                weights[(i, j)] = (
-                    best_shared if uniform else min(d1.volume, d2.volume) * best_shared
-                )
+                weights[(i, j)] = min(units[d1], units[d2]) * best_shared
         for i, j in max_weight_pairs(len(demands), weights):
             d1, d2 = demands[i], demands[j]
             idx1, idx2, combo, shared = picks[(i, j)]

@@ -12,10 +12,10 @@ Every choice among equal candidates is made in the order networkx makes it
 for a graph built from ``sorted(weights)``: vertices ascending, neighbours
 ascending, blossoms in creation order, the S-vertex queue last-in first-out.
 Both therefore return the same pairs, not merely matchings of equal weight.
+Weights are ints, so every result is checked for dual optimality.
 
-``exhaustive_matching`` is the brute-force counterpart for small graphs and
-for the oracles: it visits every matching in lexicographic order and counts
-them.
+``exhaustive_matching`` is the brute-force counterpart that only the oracles
+use: it visits every matching in lexicographic order and counts them.
 """
 from __future__ import annotations
 
@@ -25,13 +25,13 @@ from itertools import chain
 from .errors import ContractError
 
 
-def max_weight_matching(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
     """Pairs ``(i, j)``, ``i < j``, ascending, of a maximum-weight matching.
 
     ``weights`` maps each edge ``(i, j)`` with ``0 <= i < j < n`` to its
-    weight.  When every weight is an ``int`` the dual variables stay integral
-    and the result is checked for dual optimality before it is returned;
-    ContractError is raised if the check fails.
+    ``int`` weight; any other weight raises ContractError.  The dual
+    variables stay integral, and the result is checked for dual optimality
+    before it is returned; ContractError is raised if the check fails.
     """
     if n == 0:
         return []
@@ -40,15 +40,15 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], float]) -> list[t
     # twice each weight: slacks and duals are kept pre-multiplied by two
     weight2 = [[0] * n for _ in range(n)]
     maxweight = 0
-    allinteger = True
     for i, j in edges:
         w = weights[(i, j)]
+        if type(w) is not int:
+            raise ContractError(f"max-weight matching: edge ({i}, {j}) weight {w!r} is not an int")
         adjacency[i].append(j)
         adjacency[j].append(i)
         weight2[i][j] = weight2[j][i] = 2 * w
         if w > maxweight:
             maxweight = w
-        allinteger = allinteger and type(w) is int
 
     # mate[v] is v's partner, -1 while v is single
     mate = [-1] * n
@@ -456,8 +456,7 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], float]) -> list[t
             # delta3: half the least slack of an edge between two S-blossoms
             for b in chain(range(n), blossoms):
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] is not None:
-                    kslack = slack(*bestedge[b])
-                    d = kslack // 2 if allinteger else kslack / 2.0
+                    d = slack(*bestedge[b]) // 2
                     if d < delta:
                         delta = d
                         deltatype = 3
@@ -498,33 +497,32 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], float]) -> list[t
             if b in blossoms and blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    if allinteger:
-        verify_optimum()
+    verify_optimum()
     return [(v, mate[v]) for v in range(n) if mate[v] > v]
 
 
 def exhaustive_matching(
-    n: int, weights: dict[tuple[int, int], float], limit: float = math.inf
-) -> tuple[list[tuple[int, int]], float, int]:
+    n: int, weights: dict[tuple[int, int], int], limit: float = math.inf
+) -> tuple[list[tuple[int, int]], int, int]:
     """The first strictly heaviest matching, its weight, and the matchings visited.
 
     Every matching of the edges ``(i, j)``, ``i < j``, in ``weights`` is
     visited, the empty one included: the lowest unused vertex is paired with
     each partner in ascending order before it is left single, so matchings
-    come in lexicographic order.  A matching is kept when its weight, summed
-    in that order, exceeds every earlier one and 0; with none, the result is
-    ``[]`` and 0.0.  The walk stops once more than ``limit`` matchings have
+    come in lexicographic order.  A matching is kept when its exact integer
+    weight exceeds every earlier one and 0; with none, the result is ``[]``
+    and 0.  The walk stops once more than ``limit`` matchings have
     been visited, so a count above ``limit`` marks an unfinished search.
     """
-    partners: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, j in sorted(weights):
         partners[i].append((j, weights[(i, j)]))
     chosen: list[tuple[int, int]] = []
     best_pairs: list[tuple[int, int]] = []
-    best_total = 0.0
+    best_total = 0
     visited = 0
 
-    def walk(i: int, used: int, total: float) -> bool:
+    def walk(i: int, used: int, total: int) -> bool:
         nonlocal best_pairs, best_total, visited
         while i < n and used >> i & 1:
             i += 1
@@ -543,5 +541,5 @@ def exhaustive_matching(
                     return False
         return walk(i + 1, used | 1 << i, total)
 
-    walk(0, 0, 0.0)
+    walk(0, 0, 0)
     return best_pairs, best_total, visited

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Mapping, Sequence
 
 from .errors import DomainError, InstanceError
 from .power import PowerParams
@@ -21,6 +22,20 @@ Edge = tuple[int, int]
 def undirected(link: Link) -> Edge:
     u, v = link
     return (u, v) if u < v else (v, u)
+
+
+def _bfs_dist(adjacency: Mapping[int, Sequence[int]], start: int) -> dict[int, int]:
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in adjacency[node]:
+                if nb not in dist:
+                    dist[nb] = dist[node] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
 
 
 @dataclass(frozen=True)
@@ -63,14 +78,7 @@ class Topology:
         return {n: tuple(sorted(ns)) for n, ns in nbrs.items()}
 
     def is_connected(self) -> bool:
-        seen = {1}
-        stack = [1]
-        while stack:
-            for nb in self.adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == self.node_count
+        return len(_bfs_dist(self.adjacency, 1)) == self.node_count
 
 
 @dataclass(frozen=True)

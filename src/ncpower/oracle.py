@@ -1,14 +1,14 @@
 """Brute-force baselines for cross-validating the coding heuristics.
 
-Both oracles run one search body.  Every destination cluster is searched
-separately: for each tuple of its demands' candidate pairs, every matching is
-walked with :func:`ncpower.matching.exhaustive_matching`, the search that
-also serves small clusters in :mod:`ncpower.coding` and that the tests check
-against networkx.  ``optimal_matching`` gives each demand a pool of its own
-routed pair, so only the matchings vary; ``optimal_joint`` gives it its
-disjoint-pair candidates.  Pairs are scored by the oracle's own
-``pair_value``, independent of the selectors, so a scoring fault in the
-selectors' shared body shows up as a disagreement with the oracles.
+Both oracles run one search body, the only one that enumerates.  Every
+destination cluster is searched separately: for each tuple of its demands'
+candidate pairs, every matching is walked with
+:func:`ncpower.matching.exhaustive_matching`, while the selectors match with
+the blossom algorithm.  ``optimal_matching`` gives each demand a pool of its
+own routed pair, so only the matchings vary; ``optimal_joint`` gives it its
+disjoint-pair candidates.  Pairs are scored by the oracle's own ``pair_value``,
+independent of the selectors, and weighed in the selectors' exact integer
+volume units, so a fault in the selectors shows up as a disagreement.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .coding import (
     CodingAssignment,
     PathKind,
     _clusters,
+    _volume_units,
 )
 from .errors import OracleGuardError
 from .matching import exhaustive_matching
@@ -87,6 +88,7 @@ def _search(
     OracleGuardError.
     """
     final_routing = {d: pool[0] for d, pool in pools.items()}
+    units = _volume_units(instance.demands)
     chosen: list[CodedPair] = []
     explored = 0
 
@@ -109,17 +111,17 @@ def _search(
                     best_combo = combo
             return best_shared, best_combo
 
-        # (i, ci, j, cj) -> shared links, kind combo and volume-weighted benefit
-        values: dict[tuple[int, int, int, int], tuple[frozenset, tuple, float]] = {}
+        # (i, ci, j, cj) -> shared links, kind combo and volume-unit weight
+        values: dict[tuple[int, int, int, int], tuple[frozenset, tuple, int]] = {}
         for i, j in itertools.combinations(range(n), 2):
-            vol = min(demands[i].volume, demands[j].volume)
+            unit = min(units[demands[i]], units[demands[j]])
             for ci in range(len(cluster_pools[i])):
                 for cj in range(len(cluster_pools[j])):
                     shared, combo = pair_value(i, ci, j, cj)
                     if shared:
-                        values[(i, ci, j, cj)] = (shared, combo, vol * len(shared))
+                        values[(i, ci, j, cj)] = (shared, combo, unit * len(shared))
 
-        best_value = 0.0
+        best_value = 0
         best_pick: tuple[tuple[int, ...], list[tuple[int, int]]] | None = None
         for cand_idx in itertools.product(*(range(len(p)) for p in cluster_pools)):
             weights = {}

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, RoutingError, SurvivabilityError
-from .model import Demand, Edge, Instance, Link, Topology, undirected
+from .model import Demand, Edge, Instance, Link, Topology, _bfs_dist, undirected
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,6 @@ class PathPair:
         return self.working if kind is PathKind.WORKING else self.protection
 
 
-def _bfs_dist(adjacency: Mapping[int, Sequence[int]], start: int) -> dict[int, int]:
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adjacency[node]:
-                if nb not in dist:
-                    dist[nb] = dist[node] + 1
-                    nxt.append(nb)
-        frontier = nxt
-    return dist
-
-
 def shortest_path(topology: Topology, source: int, dest: int) -> Path:
     """Lexicographically smallest minimum-hop path from source to dest."""
     dist_to_dest = _bfs_dist(topology.adjacency, dest)
@@ -109,25 +95,6 @@ def shortest_path(topology: Topology, source: int, dest: int) -> Path:
                 nodes.append(nb)
                 break
     return Path(tuple(nodes))
-
-
-def _find_cut_edge(topology: Topology, source: int, dest: int) -> Edge | None:
-    """An edge whose removal separates source from dest (exists iff no 2 disjoint paths)."""
-    base = shortest_path(topology, source, dest)
-    for link in base.links:
-        banned = undirected(link)
-        seen = {source}
-        stack = [source]
-        while stack:
-            node = stack.pop()
-            for nb in topology.adjacency[node]:
-                if undirected((node, nb)) == banned or nb in seen:
-                    continue
-                seen.add(nb)
-                stack.append(nb)
-        if dest not in seen:
-            return banned
-    return None
 
 
 def _min_pair_total(topology: Topology, source: int, dest: int) -> int:
@@ -167,7 +134,10 @@ def _min_pair_total(topology: Topology, source: int, dest: int) -> int:
             if nb not in dist:
                 heapq.heappush(queue, (d + w, nb))
     if dest not in dist:
-        edge = _find_cut_edge(topology, source, dest)
+        # the reached set holds a prefix of the base path (each base link's
+        # reversed arc leads back) and no other edge leaves it, so the one
+        # base link out of it is the bridge nearest the source
+        edge = next(undirected((a, b)) for a, b in base.links if a in dist and b not in dist)
         raise SurvivabilityError(
             f"no edge-disjoint path pair from {source} to {dest}: "
             f"edge {edge} is a cut edge",

@@ -172,6 +172,28 @@ def test_sweep_oracle_guard_up_front(capsys):
     assert "joint oracle" in captured.err
 
 
+def test_sweep_size_count_guard(monkeypatch, capsys):
+    # without heuristic columns no demand is routed, but each size is still a
+    # row; the count is refused before any closed form is computed (the
+    # patched closed_form raises on its first call)
+    monkeypatch.setattr(cli, "closed_form", _refuse_generation)
+    spec = f"ring:3:{SWEEP_POINT_LIMIT + 3}"
+    assert cli.main(["sweep", "--gen", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than {SWEEP_POINT_LIMIT} sizes" in captured.err
+    with pytest.raises(_Generated):
+        cli.main(["sweep", "--gen", f"ring:3:{SWEEP_POINT_LIMIT + 2}"])
+
+
+def test_zero_volume_codes_no_pairs(capsys):
+    # every pair saves 0 W at volume 0, so no heuristic lists one
+    for heuristic in ("osh", "ww", "pp", "wp", "pw", "oracle"):
+        assert cli.main(["analyze", "--gen", "ring:5", "--volume", "0",
+                         "--heuristic", heuristic]) == 0
+        assert "coded pairs: 0\n" in capsys.readouterr().out, heuristic
+
+
 def test_sweep_sizes():
     proc = run_cli("sweep", "--gen", "ring:3:7", "--volume", "20",
                    "--heuristic", "pp,osh")

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -109,30 +111,27 @@ def test_clusters_group_by_destination():
 # -- matching ----------------------------------------------------------------
 
 
-def _random_weights(rng: random.Random, n: int) -> dict[tuple[int, int], float]:
+def _random_weights(rng: random.Random, n: int) -> dict[tuple[int, int], int]:
     weights = {}
     for i, j in itertools.combinations(range(n), 2):
         if rng.random() < 0.6:
-            weights[(i, j)] = float(rng.randint(1, 12))
+            weights[(i, j)] = rng.randint(1, 12)
     return weights
 
 
 def test_exhaustive_matching_agrees_with_blossom():
+    # the oracles' search and the selectors' matcher reach the same exact
+    # total, and so does networkx
     rng = random.Random(99)
     for n in range(2, 11):
         for _ in range(20):
             weights = _random_weights(rng, n)
             if not weights:
                 continue
-            mine = max_weight_pairs(n, weights)
-            graph = nx.Graph()
-            graph.add_nodes_from(range(n))
-            for (i, j), w in weights.items():
-                graph.add_edge(i, j, weight=w)
-            reference = nx.max_weight_matching(graph)
-            total_mine = sum(weights[e] for e in mine)
-            total_ref = sum(weights[tuple(sorted(e))] for e in reference)
-            assert total_mine == pytest.approx(total_ref, abs=1e-9)
+            blossom = sum(weights[e] for e in max_weight_pairs(n, weights))
+            assert exhaustive_matching(n, weights)[1] == blossom
+            reference = _networkx_pairs(n, weights)
+            assert sum(weights[e] for e in reference) == blossom
 
 
 def _brute_force_matchings(n: int, weights: dict[tuple[int, int], float]) -> list[tuple]:
@@ -176,7 +175,7 @@ def test_exhaustive_matching_agrees_with_brute_force():
             assert exhaustive_matching(n, weights, limit)[2] == limit + 1
 
 
-def _networkx_pairs(n: int, weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+def _networkx_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     for (i, j) in sorted(weights):
@@ -201,21 +200,36 @@ def test_matching_returns_networkx_pairs(monkeypatch):
         for density in (0.2, 0.9):
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
             ties = {e: rng.randint(1, 3) for e in edges}
-            hops = {e: rng.choice((10.0, 20.0, 40.0)) * rng.randint(1, 8) for e in edges}
+            hops = {e: rng.choice((10, 20, 40)) * rng.randint(1, 8) for e in edges}
             cases += [(n, ties), (n, hops)]
     for n, weights in cases:
         assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
 
 
-def test_matching_tie_break_prefers_lowest_indices():
-    # both (0,1)+(2,3) and (0,2)+(1,3) weigh 2; lexicographic pick wins
-    weights = {(0, 1): 1.0, (2, 3): 1.0, (0, 2): 1.0, (1, 3): 1.0}
-    assert max_weight_pairs(4, weights) == [(0, 1), (2, 3)]
+def test_max_weight_pairs_returns_networkx_pairs():
+    # small clusters go through the blossom as well, so ties among
+    # equal-weight matchings break as networkx breaks them at every size
+    rng = random.Random(808)
+    for n in range(2, 11):
+        for _ in range(20):
+            weights = {
+                e: rng.randint(1, 3)
+                for e in itertools.combinations(range(n), 2)
+                if rng.random() < 0.6
+            }
+            assert max_weight_pairs(n, weights) == _networkx_pairs(n, weights)
+
+
+def test_matching_rejects_float_weights():
+    with pytest.raises(ContractError, match="not an int"):
+        max_weight_matching(3, {(0, 1): 2, (1, 2): 2.0})
+    with pytest.raises(ContractError, match="not an int"):
+        max_weight_pairs(2, {(0, 1): 0.5})
 
 
 def test_matching_is_a_matching():
     rng = random.Random(4)
-    for n in (6, 13):  # exercises both the exhaustive and the blossom path
+    for n in (6, 13):  # a small and a larger cluster, both through the blossom
         for _ in range(10):
             weights = _random_weights(rng, n)
             pairs = max_weight_pairs(n, weights)
@@ -225,6 +239,24 @@ def test_matching_is_a_matching():
 
 
 # -- selectors ---------------------------------------------------------------
+
+
+def test_volume_units_are_exact_proportions():
+    def units(*volumes):
+        demands = [Demand(source, 9, v) for source, v in enumerate(volumes, 1)]
+        table = coding._volume_units(demands)
+        return [table[d] for d in demands]
+
+    assert units(20.0, 20.0, 20.0) == [1, 1, 1]
+    assert units(0.5, 1.5, 2.0) == [1, 3, 4]
+    assert units(0.0, 20.0) == [0, 1]
+    assert units(0.0, 0.0) == [0, 0]
+    volumes = (0.1, 1 / 3, 33.5, 20.0)
+    got = units(*volumes)
+    assert all(type(u) is int for u in got)
+    assert math.gcd(*got) == 1
+    for (va, ua), (vb, ub) in itertools.combinations(zip(volumes, got), 2):
+        assert Fraction(va) * ub == Fraction(vb) * ua
 
 
 def test_fixed_pp_on_mesh4():

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 import ncpower.oracle as oracle_mod
-from ncpower.coding import KIND_COMBOS, select_pairs_fixed, select_pairs_osh
+from ncpower.coding import COMBO_NAMES, KIND_COMBOS, select_pairs_fixed, select_pairs_osh
 from ncpower.errors import OracleGuardError
 from ncpower.model import generate_full_mesh, generate_ring
 from ncpower.oracle import MATCHING_GUARD, optimal_joint, optimal_matching
@@ -44,6 +44,22 @@ def test_osh_matches_matching_oracle_on_rings(n):
         for volume in (20.0, 1 / 3, 0.0):
             inst = generate_ring(n, volume)
             assert optimal_joint(inst) == optimal_matching(inst, route_instance(inst))
+
+
+def test_matching_oracle_pairs_do_not_depend_on_volume_scale():
+    # weights are exact volume units, so a uniform volume of 1/3 weighs every
+    # pair as 20 does and the same optimum is kept among equal ones
+    def picked(volume):
+        inst = generate_ring(8, volume)
+        result = optimal_matching(inst, route_instance(inst), (COMBO_NAMES["pw"],))
+        return [
+            (p.first.source, p.first.dest, p.second.source, p.first_kind, p.second_kind,
+             p.shared_links)
+            for p in result.best_assignment.pairs
+        ]
+
+    assert picked(20.0) == picked(1 / 3)
+    assert picked(20.0)
 
 
 def test_oracle_with_no_feasible_pairs_returns_conventional():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from conftest import (
     DATA_DIR,
@@ -136,8 +137,39 @@ def test_bridge_raises_survivability_error_naming_cut_edge():
     topo = Topology.from_undirected_edges(3, [(1, 2), (2, 3)])
     with pytest.raises(SurvivabilityError) as err:
         suurballe_pair(topo, Demand(1, 3, 5.0))
-    assert err.value.cut_edge in {(1, 2), (2, 3)}
+    assert err.value.cut_edge == (1, 2)  # the bridge nearest the source
     assert "cut edge" in str(err.value)
+
+
+def test_cut_edge_is_first_separating_bridge():
+    # connected G(n, 0.4) graphs: every demand without a disjoint pair names
+    # the first bridge on an s-t path, since every s-t path crosses the
+    # separating bridges in one order
+    rng = random.Random(5)
+    cut = 0
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        while True:
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4]
+            graph = nx.Graph(edges)
+            graph.add_nodes_from(range(1, n + 1))
+            if nx.is_connected(graph):
+                break
+        topo = Topology.from_undirected_edges(n, edges)
+        bridges = {tuple(sorted(e)) for e in nx.bridges(graph)}
+        for s, t in itertools.permutations(range(1, n + 1), 2):
+            path = nx.shortest_path(graph, s, t)
+            on_path = [tuple(sorted(l)) for l in zip(path, path[1:])]
+            separating = [e for e in on_path if e in bridges]
+            if not separating:
+                assert suurballe_pair(topo, Demand(s, t, 1.0))
+                continue
+            cut += 1
+            with pytest.raises(SurvivabilityError) as err:
+                suurballe_pair(topo, Demand(s, t, 1.0))
+            assert err.value.cut_edge == separating[0]
+            assert f"edge {separating[0]} is a cut edge" in str(err.value)
+    assert cut > 0
 
 
 def test_bridge_between_biconnected_blobs():
