@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .coding import CodingAssignment, EMPTY_ASSIGNMENT
 from .errors import DomainError, RoutingError
-from .model import Demand, Instance, _bfs_dist
+from .model import Demand, Instance
 from .power import PowerParams
 
 
@@ -47,14 +47,11 @@ class BoundReport:
 
 
 def min_hop_table(instance: Instance) -> dict[Demand, int]:
-    """Min-hop distance per demand; one BFS per distinct destination."""
-    dist_cache: dict[int, dict[int, int]] = {}
+    """Min-hop distance per demand, read from the topology's table for its dest."""
     table: dict[Demand, int] = {}
     for d in instance.demands:
-        if d.dest not in dist_cache:
-            dist_cache[d.dest] = _bfs_dist(instance.topology.adjacency, d.dest)
         try:
-            table[d] = dist_cache[d.dest][d.source]
+            table[d] = instance.topology.distances_to(d.dest)[d.source]
         except KeyError:
             raise RoutingError(
                 f"node {d.dest} is unreachable from node {d.source}"
@@ -250,10 +247,18 @@ def closed_form(
     """(conventional, coded, savings_fraction, size class) of a uniform mesh or ring.
 
     ``kind`` is "mesh" or "ring".  The size class is the mesh parity ("odd" or
-    "even") or the ring's RingClass value.
+    "even") or the ring's RingClass value.  Past the float range both powers
+    are infinite, as ``_round`` gives the bounds, and 0 at volume 0.
     """
     if not 0 <= volume < math.inf:
         raise DomainError(f"volume {volume}: closed forms need a finite non-negative volume")
     if kind == "mesh":
-        return (*mesh_power(n, volume, params), "odd" if n % 2 else "even")
-    return (*ring_power(n, volume, params), ring_classify(n).value)
+        power, savings, label = mesh_power, mesh_savings_fraction, "odd" if n % 2 else "even"
+    else:
+        power, savings, label = ring_power, ring_savings_fraction, ring_classify(n).value
+    try:
+        return (*power(n, volume, params), label)
+    except OverflowError:
+        # a hop count too large to convert to a float
+        watts = math.inf if volume * (params or PowerParams()).slope_w_per_gbps else 0.0
+        return watts, watts, savings(n), label

@@ -88,6 +88,12 @@ def _parse_power(text: str | None) -> PowerParams:
         raise InstanceError(f"--power {text!r}: values must be numbers") from None
 
 
+def _with_volume(instance: Instance, volume: float) -> Instance:
+    """The instance with every demand re-keyed to the uniform ``volume``."""
+    demands = tuple(Demand(d.source, d.dest, volume) for d in instance.demands)
+    return Instance(instance.topology, demands, instance.power)
+
+
 def _load_file(path: str, volume: float | None, power_text: str | None) -> Instance:
     try:
         text = FilePath(path).read_text(encoding="utf-8")
@@ -97,9 +103,7 @@ def _load_file(path: str, volume: float | None, power_text: str | None) -> Insta
     if power_text is not None:
         instance = Instance(instance.topology, instance.demands, _parse_power(power_text))
     if volume is not None:
-        # uniform override so volume sweeps work on file instances too
-        demands = tuple(Demand(d.source, d.dest, volume) for d in instance.demands)
-        instance = Instance(instance.topology, demands, instance.power)
+        instance = _with_volume(instance, volume)
     if not instance.demands:
         raise InstanceError(f"instance {path} defines no demands; add demand lines")
     return instance
@@ -172,6 +176,9 @@ def _sweep_volumes(spec: str) -> list[float]:
     v = start
     while v <= stop + 1e-9:
         values.append(round(v, 9))
+        if v + step == v:
+            # the step is below half the float spacing at v: v would never advance
+            raise InstanceError(f"--sweep {spec!r}: step {step:g} is lost in volume {v:g}")
         v += step
     return values
 
@@ -202,9 +209,13 @@ def _print_report(instance: Instance, report: PowerReport, bounds: BoundReport, 
 
 def _cmd_analyze(args) -> int:
     if args.sweep:
+        volumes = _sweep_volumes(args.sweep)
+        # one instance, and so one topology and its distance tables, for the
+        # whole sweep; each point re-keys the demands to its volume
+        instance = _build_instance(args, None)
         rows = []
-        for volume in _sweep_volumes(args.sweep):
-            [(report, _)] = _evaluate(_build_instance(args, volume), [args.heuristic], args.budget)
+        for volume in volumes:
+            [(report, _)] = _evaluate(_with_volume(instance, volume), [args.heuristic], args.budget)
             rows.append([fmt(volume)] + _power_row(report))
         _write_csv(args.out, ["volume_gbps"] + POWER_HEADER, rows)
         return 0
@@ -218,25 +229,24 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = None
     if args.gen:
         params = _parse_power(args.power)
         kind, n = _parse_gen(args.gen)
         volume = 20.0 if args.volume is None else args.volume
         demand_count = n * (n - 1)
-        instance = None if demand_count > EVAL_DEMAND_LIMIT else _generate(kind, n, volume, params)
     else:
         instance = _load_file(args.instance, args.volume, args.power)
         demand_count = len(instance.demands)
-    if instance is None:
-        # past the limit the generated demands are never built: the bound's
-        # sums follow from N, so any size answers at once
-        bounds = uniform_bound(kind, n, volume, params)
-    elif demand_count <= EVAL_DEMAND_LIMIT:
+    report = None
+    if demand_count > EVAL_DEMAND_LIMIT:
+        # no pairing is evaluated, and generated demands are never built: the
+        # bound's sums follow from N, so any size answers at once
+        bounds = uniform_bound(kind, n, volume, params) if args.gen else bound_nc(instance)
+    else:
+        if args.gen:
+            instance = _generate(kind, n, volume, params)
         [(report, selection)] = _evaluate(instance, [args.heuristic], args.budget)
         bounds = bound_nc(instance, selection.assignment)
-    else:
-        bounds = bound_nc(instance)
     print(f"conventional_lower: {fmt(bounds.conventional_lower)} W")
     print(f"nc_lower_per_demand: {fmt(bounds.nc_lower_per_demand)} W")
     print(f"nc_lower_mean_form: {fmt(bounds.nc_lower_mean_form)} W")

@@ -77,8 +77,25 @@ class Topology:
             nbrs[v].append(u)
         return {n: tuple(sorted(ns)) for n, ns in nbrs.items()}
 
+    @cached_property
+    def _distance_tables(self) -> dict[int, dict[int, int]]:
+        return {}
+
+    def distances_to(self, node: int) -> dict[int, int]:
+        """Hop distance to ``node`` from every node that reaches it.
+
+        The BFS runs on first use and its table is kept with the topology, so
+        routing and bounds share one table per node.  Links come in fibre
+        pairs, so distances to and from a node agree.  Callers must treat the
+        table as read-only.
+        """
+        table = self._distance_tables.get(node)
+        if table is None:
+            table = self._distance_tables[node] = _bfs_dist(self.adjacency, node)
+        return table
+
     def is_connected(self) -> bool:
-        return len(_bfs_dist(self.adjacency, 1)) == self.node_count
+        return len(self.distances_to(1)) == self.node_count
 
 
 @dataclass(frozen=True)

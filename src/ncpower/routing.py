@@ -82,8 +82,12 @@ class PathPair:
 
 
 def shortest_path(topology: Topology, source: int, dest: int) -> Path:
-    """Lexicographically smallest minimum-hop path from source to dest."""
-    dist_to_dest = _bfs_dist(topology.adjacency, dest)
+    """Lexicographically smallest minimum-hop path from source to dest.
+
+    It follows the topology's hop-distance table to dest downhill, taking the
+    smallest neighbour one hop closer at each step.
+    """
+    dist_to_dest = topology.distances_to(dest)
     if source not in dist_to_dest:
         raise RoutingError(f"node {dest} is unreachable from node {source}")
     nodes = [source]
@@ -100,26 +104,24 @@ def shortest_path(topology: Topology, source: int, dest: int) -> Path:
 def _min_pair_total(topology: Topology, source: int, dest: int) -> int:
     """Minimum total hop count over all edge-disjoint path pairs (Suurballe).
 
-    One BFS gives potentials; the residual graph of the shortest path (its
-    links reversed at cost -1) then has non-negative reduced costs, so a
-    single Dijkstra run finds the cheapest augmenting path.
+    The hop distances d to dest, negated, are the potentials (Suurballe &
+    Tarjan, 1984): in the residual graph of the shortest path (its links
+    reversed at cost -1) an arc u->v has reduced cost 1 + d(v) - d(u) >= 0,
+    and a reversed link 0, so a single Dijkstra run finds the cheapest
+    augmenting path.
     """
-    h = _bfs_dist(topology.adjacency, source)
-    if dest not in h:
-        raise RoutingError(f"node {dest} is unreachable from node {source}")
     base = shortest_path(topology, source, dest)
+    to_dest = topology.distances_to(dest)
     base_edges = base.edge_set
     reversed_links = {(b, a) for a, b in base.links}
 
     def reduced_arcs(node: int):
         for nb in topology.adjacency[node]:
-            if nb not in h:
-                continue
             if undirected((node, nb)) in base_edges:
                 if (node, nb) in reversed_links:
-                    yield nb, -1 + h[node] - h[nb]  # always 0 on a shortest path
+                    yield nb, 0
                 continue
-            yield nb, 1 + h[node] - h[nb]
+            yield nb, 1 + to_dest[nb] - to_dest[node]
 
     dist: dict[int, int] = {}
     queue: list[tuple[int, int]] = [(0, source)]
@@ -143,22 +145,26 @@ def _min_pair_total(topology: Topology, source: int, dest: int) -> int:
             f"edge {edge} is a cut edge",
             cut_edge=edge,
         )
-    # undo the potential shift: true residual cost = dist + h[dest]
-    return base.hop_count + dist[dest] + h[dest]
+    # undo the potential shift: true residual cost = dist + d(source)
+    return base.hop_count + dist[dest] + to_dest[source]
 
 
 def _simple_paths_upto(
-    adjacency: Mapping[int, Sequence[int]], source: int, dest: int, max_hops: int
+    adjacency: Mapping[int, Sequence[int]],
+    dist_to_dest: Mapping[int, int],
+    source: int,
+    dest: int,
+    max_hops: int,
 ) -> Iterator[tuple[int, ...]]:
     """Simple source->dest paths of at most max_hops hops, yielded in lex order.
 
     A depth-first search over sorted neighbour lists meets the paths in
     lexicographic order of their node sequences (no path to dest is a prefix
-    of another), and one BFS from dest prunes every branch that cannot reach
-    dest within the hops left.  The paths are produced lazily, so a caller
-    that stops early pays only for the paths it consumed.
+    of another), and ``dist_to_dest``, the hop distances to dest in
+    ``adjacency``, prunes every branch that cannot reach dest within the hops
+    left.  The paths are produced lazily, so a caller that stops early pays
+    only for the paths it consumed.
     """
-    dist_to_dest = _bfs_dist(adjacency, dest)
     if dist_to_dest.get(source, max_hops + 1) > max_hops:
         return
     # explicit stack of neighbour iterators: recursing would overflow on paths
@@ -220,9 +226,11 @@ def disjoint_pair_candidates(topology: Topology, demand: Demand, k: int = 8) -> 
     s, t = demand.source, demand.dest
     total = _min_pair_total(topology, s, t)
     pairs: list[PathPair] = []
-    for working in _simple_paths_upto(topology.adjacency, s, t, total // 2):
-        reduced = _without_fibres(topology.adjacency, working)
-        for protection in _simple_paths_upto(reduced, s, t, total - len(working) + 1):
+    adjacency = topology.adjacency
+    for working in _simple_paths_upto(adjacency, topology.distances_to(t), s, t, total // 2):
+        reduced = _without_fibres(adjacency, working)
+        dist_reduced = _bfs_dist(reduced, t)
+        for protection in _simple_paths_upto(reduced, dist_reduced, s, t, total - len(working) + 1):
             if len(protection) == len(working) and protection < working:
                 continue
             pairs.append(PathPair(demand, Path(working), Path(protection)))

@@ -1,17 +1,19 @@
 """End-to-end command line checks, run through a real subprocess."""
 from __future__ import annotations
 
+import random
 import resource
 import subprocess
 import sys
 import time
 
 import pytest
-from conftest import DATA_DIR
+from conftest import DATA_DIR, grid_topology
 
 from ncpower import cli
 from ncpower.cli import EVAL_DEMAND_LIMIT, SWEEP_POINT_LIMIT, _require_evaluable, _sweep_volumes
 from ncpower.errors import InstanceError
+from ncpower.model import Demand, Instance, _bfs_dist, serialize_instance
 
 GOLDEN = {
     "mesh-volume": DATA_DIR / "mesh_volume.csv",
@@ -349,3 +351,94 @@ def test_each_instance_is_routed_once(argv, routes, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
     assert len(calls) == routes
+
+
+def _grid_corners_file(tmp_path):
+    # every node of a 5x5 grid to the two opposite corners, seeded volumes
+    rng = random.Random(5)
+    demands = tuple(
+        Demand(s, t, float(rng.randint(10, 40)))
+        for t in (1, 25) for s in range(1, 26) if s != t
+    )
+    path = tmp_path / "grid5.net"
+    path.write_text(serialize_instance(Instance(grid_topology(5, 5), demands)))
+    return path
+
+
+def test_analyze_leaves_distance_tables_intact(monkeypatch, capsys, tmp_path):
+    # the tables a topology keeps are shared by every caller, so none may
+    # change one: after analyze each still equals a fresh BFS
+    seen = []
+    real_bound = cli.bound_nc
+
+    def keeping_bound(instance, *args):
+        seen.append(instance.topology)
+        return real_bound(instance, *args)
+
+    monkeypatch.setattr(cli, "bound_nc", keeping_bound)
+    for path in (DATA_DIR / "arbitrary11.net", _grid_corners_file(tmp_path)):
+        assert cli.main(["analyze", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out
+    for topo in seen:
+        tables = topo._distance_tables
+        assert tables
+        for node, table in tables.items():
+            assert table == _bfs_dist(topo.adjacency, node)
+
+
+def test_absorbed_sweep_step_exit_3(capsys):
+    # a step below half the float spacing at the volume would never advance it
+    start = time.perf_counter()
+    assert cli.main(["analyze", "--gen", "ring:5", "--sweep", "20:20:1e-320"]) == 3
+    with pytest.raises(InstanceError, match="lost in volume"):
+        _sweep_volumes("1e17:1e17:1")
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lost in volume 20" in captured.err
+
+
+def test_analyze_sweep_builds_one_instance(monkeypatch, capsys, tmp_path):
+    # the sweep re-keys one instance per volume; the file is read once
+    reads = []
+    real_load = cli.load_instance
+
+    def counting_load(text):
+        reads.append(text)
+        return real_load(text)
+
+    monkeypatch.setattr(cli, "load_instance", counting_load)
+    path = str(DATA_DIR / "arbitrary11.net")
+    assert cli.main(["analyze", "--instance", path, "--sweep", "0:40:20"]) == 0
+    assert len(reads) == 1
+    swept = capsys.readouterr().out.splitlines()[1:]
+    for volume, row in zip(("0", "20", "40"), swept):
+        assert cli.main(["analyze", "--instance", path, "--volume", volume, "--out",
+                         str(tmp_path / "one.csv")]) == 0
+        single = (tmp_path / "one.csv").read_text().splitlines()[1]
+        assert row == f"{volume},{single}"
+
+
+BIG_RING = "ring:1" + "0" * 120
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv,closed", [
+    (["bounds", "--gen", BIG_RING], "conventional=inf W coded=inf W savings=37.5% class=even-1"),
+    (["bounds", "--gen", f"mesh:{HUGE}"], "conventional=inf W coded=inf W savings=16.6667%"),
+    (["bounds", "--gen", f"ring:{HUGE}", "--volume", "0"], "conventional=0 W coded=0 W"),
+], ids=["ring-1e120", "mesh-1e400", "ring-1e400-volume-0"])
+def test_closed_form_past_the_float_range(argv, closed, capsys):
+    # the hop count is too large for a float; the powers read inf, or 0 at
+    # volume 0, as the bound lines do
+    assert cli.main(argv) == 0
+    assert closed in capsys.readouterr().out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("spec,row", [
+    (BIG_RING, f"{BIG_RING[5:]},even-1,37.5"),
+    (f"mesh:{HUGE}", f"{HUGE},even,16.6667"),
+], ids=["ring-1e120", "mesh-1e400"])
+def test_sweep_past_the_float_range(spec, row, capsys):
+    assert cli.main(["sweep", "--gen", spec]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == row

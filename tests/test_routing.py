@@ -16,6 +16,9 @@ from conftest import (
     random_survivable_instance,
 )
 
+from ncpower import bounds, model, routing
+from ncpower.bounds import bound_nc
+from ncpower.coding import select_pairs_osh
 from ncpower.errors import ContractError, RoutingError, SurvivabilityError
 from ncpower.model import Demand, Topology, generate_full_mesh, generate_ring, load_instance
 from ncpower.routing import (
@@ -291,3 +294,28 @@ def test_min_hop_floor_holds_per_demand():
             assert pair.working.hop_count >= h_min
             assert pair.total_hops >= 2 * h_min
             assert not pair.working.edge_set & pair.protection.edge_set
+
+
+def test_one_full_graph_bfs_per_node(monkeypatch):
+    # routing, selection and bounds read the topology's one distance table per
+    # node; only the walk's BFS of the graph without a working path's fibres
+    # runs per call, and that is not a BFS over the topology's adjacency
+    inst = generate_ring(12)
+    topo = inst.topology
+    starts = []
+    for module in (model, routing, bounds):
+        real = getattr(module, "_bfs_dist", None)
+        if real is None:
+            continue
+
+        def counting(adjacency, start, real=real):
+            if adjacency is topo.adjacency:
+                starts.append(start)
+            return real(adjacency, start)
+
+        monkeypatch.setattr(module, "_bfs_dist", counting)
+    select_pairs_osh(inst, route_instance(inst))
+    bound_nc(inst)
+    for s, t in itertools.permutations(range(1, 13), 2):
+        shortest_path(topo, s, t)
+    assert len(starts) <= 12
