@@ -15,10 +15,15 @@ the per-pair benefit decomposes, so a per-cluster max-weight matching over
 per-pair-maximised weights is exactly optimal on this search space.
 A pair weighs min(u1, u2) times its shared links, u being each demand's volume
 in exact integer units, and the blossom algorithm matches every cluster.
+
+Shared links are counted on bit masks.  Each cluster numbers its own directed
+links, so a candidate path is an ``int`` and two paths share
+``(m1 & m2).bit_count()`` links; a demand scores the masks of every later
+demand of its cluster as one row.  The masks live only while their cluster is
+scored.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -146,16 +151,6 @@ def _volume_units(demands: Sequence[Demand]) -> dict[Demand, int]:
     return {d: u // unit for d, u in units.items()} if unit else units
 
 
-def _kind_link_sets(pool: Sequence[PathPair], kind: PathKind) -> list[tuple[frozenset[Link], int]]:
-    """Distinct link sets of one kind across a candidate pool, first index wins."""
-    seen: dict[frozenset[Link], int] = {}
-    for idx, pair in enumerate(pool):
-        links = pair.path(kind).link_set
-        if links not in seen:
-            seen[links] = idx
-    return [(links, idx) for links, idx in seen.items()]
-
-
 def _select(
     instance: Instance,
     routing: dict[Demand, PathPair],
@@ -169,36 +164,71 @@ def _select(
     maximum in combo, then pool order, wins.
     Matched demands adopt the candidates of their pair's maximum; unmatched
     demands keep ``routing``.  The result lists demands in instance order.
+
+    Each cluster numbers its own directed links, so every candidate path is
+    an ``int`` bit mask and a shared-link count is ``(m1 & m2).bit_count()``.
+    A (demand, kind) keeps its distinct masks, the first pool index winning,
+    laid out per kind in source order.  Demand i then scores, for each combo
+    and each of its own masks, the whole row of masks of the demands after
+    it in one pass, keeping each demand's first maximum.  That visits every
+    pair in combo, own-mask, other-mask order, which is the tie-break above.
+    Only matched pairs build the ``frozenset`` of their shared links.
     """
     units = _volume_units(instance.demands)
-    kinds: dict[tuple[Demand, PathKind], list[tuple[frozenset[Link], int]]] = {}
-    for d, pool in pools.items():
-        for kind in (_W, _P):
-            kinds[(d, kind)] = _kind_link_sets(pool, kind)
-
     new_routing = dict(routing)
     chosen: list[CodedPair] = []
     for demands in _clusters(instance.demands).values():
+        n = len(demands)
+        bit: dict[Link, int] = {}
+        # per kind, flat in source order: masks, owning demand, pool index,
+        # and where each demand's masks start (starts[n] is the end)
+        masks: dict[PathKind, list[int]] = {_W: [], _P: []}
+        owners: dict[PathKind, list[int]] = {_W: [], _P: []}
+        indices: dict[PathKind, list[int]] = {_W: [], _P: []}
+        starts: dict[PathKind, list[int]] = {_W: [], _P: []}
+        for i, d in enumerate(demands):
+            for kind in (_W, _P):
+                starts[kind].append(len(masks[kind]))
+                first: dict[int, int] = {}
+                for idx, pair in enumerate(pools[d]):
+                    mask = 0
+                    for link in pair.path(kind).links:
+                        mask |= 1 << bit.setdefault(link, len(bit))
+                    first.setdefault(mask, idx)
+                masks[kind].extend(first)
+                indices[kind].extend(first.values())
+                owners[kind].extend([i] * len(first))
+        for kind in (_W, _P):
+            starts[kind].append(len(masks[kind]))
+
         weights: dict[tuple[int, int], int] = {}
-        picks: dict[tuple[int, int], tuple[int, int, tuple[PathKind, PathKind], frozenset[Link]]] = {}
-        for (i, d1), (j, d2) in itertools.combinations(enumerate(demands), 2):
-            best_shared = 0
-            best = None
+        picks: dict[tuple[int, int], tuple[tuple[PathKind, PathKind], int, int]] = {}
+        for i in range(n - 1):
+            best = [0] * n
+            pick: list[tuple[tuple[PathKind, PathKind], int, int] | None] = [None] * n
             for combo in combos:
-                for links1, idx1 in kinds[(d1, combo[0])]:
-                    for links2, idx2 in kinds[(d2, combo[1])]:
-                        shared = links1 & links2
-                        if len(shared) > best_shared:
-                            best_shared = len(shared)
-                            best = (idx1, idx2, combo, shared)
-            if best is not None:
-                picks[(i, j)] = best
-                weights[(i, j)] = min(units[d1], units[d2]) * best_shared
-        for i, j in max_weight_pairs(len(demands), weights):
+                own, other = masks[combo[0]], masks[combo[1]]
+                owner = owners[combo[1]]
+                row_start = starts[combo[1]][i + 1]
+                row = other[row_start:]
+                for p1 in range(starts[combo[0]][i], starts[combo[0]][i + 1]):
+                    m1 = own[p1]
+                    scores = [(m1 & m2).bit_count() for m2 in row]
+                    for q, shared in enumerate(scores, row_start):
+                        if shared > best[owner[q]]:
+                            best[owner[q]] = shared
+                            pick[owner[q]] = (combo, p1, q)
+            unit = units[demands[i]]
+            for j in range(i + 1, n):
+                if best[j]:
+                    weights[(i, j)] = min(unit, units[demands[j]]) * best[j]
+                    picks[(i, j)] = pick[j]
+        for i, j in max_weight_pairs(n, weights):
             d1, d2 = demands[i], demands[j]
-            idx1, idx2, combo, shared = picks[(i, j)]
-            new_routing[d1] = pools[d1][idx1]
-            new_routing[d2] = pools[d2][idx2]
+            combo, p1, q = picks[(i, j)]
+            new_routing[d1] = first_pair = pools[d1][indices[combo[0]][p1]]
+            new_routing[d2] = second_pair = pools[d2][indices[combo[1]][q]]
+            shared = first_pair.path(combo[0]).link_set & second_pair.path(combo[1]).link_set
             benefit = (
                 instance.power.slope_w_per_gbps * min(d1.volume, d2.volume) * len(shared)
             )

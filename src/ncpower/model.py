@@ -81,6 +81,11 @@ class Topology:
     def _distance_tables(self) -> dict[int, dict[int, int]]:
         return {}
 
+    @cached_property
+    def _pair_totals(self) -> dict[tuple[int, int], int]:
+        # minimum disjoint-pair total per ordered (s, t); routing fills it
+        return {}
+
     def distances_to(self, node: int) -> dict[int, int]:
         """Hop distance to ``node`` from every node that reaches it.
 

@@ -93,7 +93,8 @@ def eval_with_coding(
                     f"{kind.value} path of {demand}"
                 )
         expected = k * min(coded.first.volume, coded.second.volume) * len(coded.shared_links)
-        if abs(expected - coded.benefit) > 1e-9 * max(1.0, abs(expected)):
+        # isclose, unlike a difference, tells an infinite benefit from a finite one
+        if not math.isclose(coded.benefit, expected, rel_tol=1e-9, abs_tol=1e-9):
             raise ContractError(
                 f"pair benefit {coded.benefit} inconsistent with power model ({expected})"
             )
@@ -101,6 +102,21 @@ def eval_with_coding(
 
     total = p1 - reduction
     savings = reduction / p1 if p1 > 0 else 0.0
+    if math.isinf(p1):
+        # past the float range p1 - reduction and reduction / p1 would be nan,
+        # so both come from exact sums of volume x hops, each rounded once
+        from fractions import Fraction  # deferred: it adds to every CLI start-up
+
+        hops = sum(Fraction(d.volume) * by_demand[d].total_hops for d in instance.demands)
+        cut = sum(
+            Fraction(min(c.first.volume, c.second.volume)) * len(c.shared_links)
+            for c in assignment.pairs
+        )
+        try:
+            total = float(Fraction(k) * (hops - cut))
+        except OverflowError:
+            total = math.inf
+        savings = float(cut / hops)
     return PowerReport(
         p_total=total,
         p_conventional=p1,

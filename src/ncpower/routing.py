@@ -102,7 +102,22 @@ def shortest_path(topology: Topology, source: int, dest: int) -> Path:
 
 
 def _min_pair_total(topology: Topology, source: int, dest: int) -> int:
-    """Minimum total hop count over all edge-disjoint path pairs (Suurballe).
+    """Minimum total hop count over all edge-disjoint path pairs.
+
+    The total of each ordered (source, dest) is searched once per topology
+    and kept with it, beside its distance tables, so the routing call, the
+    selector's wider candidate pool and the oracle's all share one search.
+    A pair that does not exist raises on every call; errors are not kept.
+    """
+    totals = topology._pair_totals
+    total = totals.get((source, dest))
+    if total is None:
+        total = totals[(source, dest)] = _suurballe_total(topology, source, dest)
+    return total
+
+
+def _suurballe_total(topology: Topology, source: int, dest: int) -> int:
+    """The minimum disjoint-pair total by one Suurballe search.
 
     The hop distances d to dest, negated, are the potentials (Suurballe &
     Tarjan, 1984): in the residual graph of the shortest path (its links

@@ -6,6 +6,7 @@ tests cross-validate two independent implementations.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +108,59 @@ def exact_bounds(instance: Instance, assignment) -> dict[str, float]:
         "volume_avg": float(volume / count),
         "characteristic_avg": float(characteristic / count),
     }
+
+
+def reference_selection(instance: Instance, pools: dict, combos) -> tuple[list[tuple], list]:
+    """The selectors' answer by nested loops over frozensets of links.
+
+    ``pools`` maps each demand to its candidate ``PathPair``s; ``combos``
+    lists (first kind, second kind) pairs of ``PathKind``.  Per destination
+    cluster, sources ascending, a demand pair weighs its most shared directed
+    links over the combos and the two pools (the first maximum in combo, then
+    pool order, wins; a pool's repeated link sets count once, at their first
+    index) times the smaller volume in exact integer units, and networkx
+    matches each cluster.  Returns the coded pairs as (first, second,
+    first_kind, second_kind, shared_links, benefit), and the routing in
+    instance order, where unmatched demands keep the head of their pool.
+    """
+    volumes = {d: Fraction(d.volume) for d in instance.demands}
+    den = math.lcm(*(v.denominator for v in volumes.values()))
+    scaled = {d: int(v * den) for d, v in volumes.items()}
+    unit = math.gcd(*scaled.values()) or 1
+    units = {d: v // unit for d, v in scaled.items()}
+
+    def link_sets(pool, kind):
+        seen = {}
+        for idx, pair in enumerate(pool):
+            nodes = pair.path(kind).nodes
+            seen.setdefault(frozenset(zip(nodes, nodes[1:])), idx)
+        return list(seen.items())
+
+    routing = {d: pool[0] for d, pool in pools.items()}
+    chosen = []
+    for dest in sorted({d.dest for d in instance.demands}):
+        demands = sorted((d for d in instance.demands if d.dest == dest), key=lambda d: d.source)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(demands)))
+        picks = {}
+        for (i, d1), (j, d2) in itertools.combinations(enumerate(demands), 2):
+            best_shared, best = 0, None
+            for combo in combos:
+                for links1, idx1 in link_sets(pools[d1], combo[0]):
+                    for links2, idx2 in link_sets(pools[d2], combo[1]):
+                        shared = links1 & links2
+                        if len(shared) > best_shared:
+                            best_shared, best = len(shared), (idx1, idx2, combo, shared)
+            if best is not None:
+                picks[(i, j)] = best
+                graph.add_edge(i, j, weight=min(units[d1], units[d2]) * best_shared)
+        for i, j in sorted(tuple(sorted(e)) for e in nx.max_weight_matching(graph)):
+            d1, d2 = demands[i], demands[j]
+            idx1, idx2, combo, shared = picks[(i, j)]
+            routing[d1], routing[d2] = pools[d1][idx1], pools[d2][idx2]
+            benefit = instance.power.slope_w_per_gbps * min(d1.volume, d2.volume) * len(shared)
+            chosen.append((d1, d2, combo[0], combo[1], shared, benefit))
+    return chosen, [routing[d] for d in instance.demands]
 
 
 def grid_topology(rows: int, cols: int) -> Topology:

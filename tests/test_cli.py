@@ -62,6 +62,12 @@ def test_analyze_report_text():
     assert "coded pairs: 10" in proc.stdout
 
 
+def test_analyze_past_the_float_range_prints_inf_not_nan(capsys):
+    assert cli.main(["analyze", "--gen", "ring:6", "--volume", "1e308"]) == 0
+    out = capsys.readouterr().out
+    assert "power: total=inf W  conventional=inf W  reduction=inf W  savings=26.6667%\n" in out
+
+
 def test_analyze_fixed_combo():
     proc = run_cli("analyze", "--gen", "ring:5", "--volume", "20", "--heuristic", "pp")
     assert proc.returncode == 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from conftest import DATA_DIR, random_survivable_instance
+from conftest import DATA_DIR, grid_topology, random_survivable_instance, reference_selection
 
 import ncpower.coding as coding
 from ncpower.coding import (
@@ -25,7 +25,7 @@ from ncpower.errors import ContractError, FeasibilityError
 from ncpower.matching import exhaustive_matching, max_weight_matching
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
 from ncpower.power import eval_with_coding
-from ncpower.routing import route_instance
+from ncpower.routing import disjoint_pair_candidates, route_instance
 
 W, P = PathKind.WORKING, PathKind.PROTECTION
 
@@ -341,3 +341,53 @@ def test_selectors_are_deterministic():
     second = select_pairs_osh(inst, routing)
     assert first.assignment == second.assignment
     assert first.routing == second.routing
+
+
+def _scorer_instances():
+    """Random bridgeless graphs with all-pairs demands, and grids whose every
+    node sends to two opposite corners, volumes drawn from {10, 20, 40}."""
+    rng = random.Random(20261019)
+    volumes = (10.0, 20.0, 40.0)
+    for _ in range(24):
+        topo = random_survivable_instance(rng, n_lo=4, n_hi=9, volume=1.0).topology
+        n = topo.node_count
+        yield Instance(topo, tuple(
+            Demand(s, t, rng.choice(volumes))
+            for s, t in itertools.permutations(range(1, n + 1), 2)
+        ))
+    for rows in range(3, 6):
+        for cols in range(3, 6):
+            last = rows * cols
+            yield Instance(grid_topology(rows, cols), tuple(
+                Demand(s, t, rng.choice(volumes))
+                for t in (1, last)
+                for s in range(1, last + 1)
+                if s != t
+            ))
+
+
+def _assert_equals_reference(inst, sel, pools, combos):
+    pairs, routing = reference_selection(inst, pools, combos)
+    got = [
+        (p.first, p.second, p.first_kind, p.second_kind, p.shared_links, p.benefit)
+        for p in sel.assignment.pairs
+    ]
+    assert got == pairs
+    assert list(sel.routing) == routing
+
+
+def test_selectors_equal_nested_loop_reference():
+    # multi-candidate pools reach every tie-break level: combo, own
+    # candidate, other candidate, and a repeated link set's first index
+    rerouted = 0
+    for inst in _scorer_instances():
+        routing = route_instance(inst)
+        for budget in (1, 2, 8):
+            pools = {d: disjoint_pair_candidates(inst.topology, d, budget) for d in inst.demands}
+            sel = select_pairs_osh(inst, routing, budget)
+            _assert_equals_reference(inst, sel, pools, KIND_COMBOS)
+            rerouted += sel.routing != routing
+        own = {pair.demand: [pair] for pair in routing}
+        for combo in KIND_COMBOS:
+            _assert_equals_reference(inst, select_pairs_fixed(inst, routing, combo), own, (combo,))
+    assert rerouted > 0

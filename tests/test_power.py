@@ -1,6 +1,7 @@
 """Linear power model evaluation."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import random_survivable_instance
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ncpower.bounds import ring_savings_fraction
 from ncpower.coding import EMPTY_ASSIGNMENT, KIND_COMBOS, select_pairs_fixed, select_pairs_osh
 from ncpower.errors import ContractError, DomainError
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring
@@ -129,5 +131,30 @@ def test_eval_rejects_tampered_benefit():
     bad = replace(pairs[0], benefit=pairs[0].benefit * 2)
     from ncpower.coding import CodingAssignment
 
+    with pytest.raises(ContractError, match="inconsistent"):
+        eval_with_coding(inst, sel.routing, CodingAssignment((bad,) + pairs[1:]))
+
+
+def test_power_past_the_float_range_is_not_nan():
+    # conventional power overflows; the total and savings come from exact sums
+    for volume, total in ((1e308, math.inf), (4.1e304, 1.45177e308)):
+        inst = generate_ring(6, volume)
+        sel = select_pairs_osh(inst, route_instance(inst))
+        report = eval_with_coding(inst, sel.routing, sel.assignment)
+        assert report.p_conventional == math.inf
+        assert report.p_total == pytest.approx(total, rel=1e-5)
+        assert report.savings_fraction == ring_savings_fraction(6)
+
+
+def test_eval_rejects_finite_benefit_claimed_for_infinite_saving():
+    from dataclasses import replace
+
+    from ncpower.coding import CodingAssignment
+
+    inst = generate_ring(6, 1e308)
+    sel = select_pairs_osh(inst, route_instance(inst))
+    pairs = sel.assignment.pairs
+    assert pairs[0].benefit == math.inf
+    bad = replace(pairs[0], benefit=1.0)
     with pytest.raises(ContractError, match="inconsistent"):
         eval_with_coding(inst, sel.routing, CodingAssignment((bad,) + pairs[1:]))

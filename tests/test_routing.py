@@ -319,3 +319,30 @@ def test_one_full_graph_bfs_per_node(monkeypatch):
     for s, t in itertools.permutations(range(1, 13), 2):
         shortest_path(topo, s, t)
     assert len(starts) <= 12
+
+
+def test_pair_total_searched_once_per_ordered_pair(monkeypatch):
+    # the routing call at k=1 and the selector's pool at k=8 share one
+    # Suurballe search per ordered (s, t) of the topology
+    inst = generate_ring(12)
+    searches = []
+    real = routing._suurballe_total
+
+    def counting(topology, source, dest):
+        searches.append((source, dest))
+        return real(topology, source, dest)
+
+    monkeypatch.setattr(routing, "_suurballe_total", counting)
+    select_pairs_osh(inst, route_instance(inst))
+    assert len(searches) <= 12 * 11
+    # a pair that does not exist is searched again, and raises the same way
+    topo = Topology.from_undirected_edges(
+        6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (3, 4)]
+    )
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SurvivabilityError) as err:
+            disjoint_pair_candidates(topo, Demand(1, 6, 5.0))
+        errors.append((str(err.value), err.value.cut_edge))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == (3, 4)
