@@ -210,8 +210,9 @@ def _print_report(instance: Instance, report: PowerReport, bounds: BoundReport, 
 def _cmd_analyze(args) -> int:
     if args.sweep:
         volumes = _sweep_volumes(args.sweep)
-        # one instance, and so one topology and its distance tables, for the
-        # whole sweep; each point re-keys the demands to its volume
+        # one instance, and so one topology with its distance tables and
+        # candidate walks, for the whole sweep; each point re-keys the
+        # demands to its volume
         instance = _build_instance(args, None)
         rows = []
         for volume in volumes:

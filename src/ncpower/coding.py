@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ContractError, FeasibilityError
@@ -172,6 +173,7 @@ def _select(
     and each of its own masks, the whole row of masks of the demands after
     it in one pass, keeping each demand's first maximum.  That visits every
     pair in combo, own-mask, other-mask order, which is the tie-break above.
+    Only the non-zero scores of a row are read, since a zero never wins.
     Only matched pairs build the ``frozenset`` of their shared links.
     """
     units = _volume_units(instance.demands)
@@ -201,6 +203,7 @@ def _select(
         for kind in (_W, _P):
             starts[kind].append(len(masks[kind]))
 
+        cluster_units = [units[d] for d in demands]
         weights: dict[tuple[int, int], int] = {}
         picks: dict[tuple[int, int], tuple[tuple[PathKind, PathKind], int, int]] = {}
         for i in range(n - 1):
@@ -214,15 +217,15 @@ def _select(
                 for p1 in range(starts[combo[0]][i], starts[combo[0]][i + 1]):
                     m1 = own[p1]
                     scores = [(m1 & m2).bit_count() for m2 in row]
-                    for q, shared in enumerate(scores, row_start):
+                    if not any(scores):
+                        continue
+                    for q, shared in compress(enumerate(scores, row_start), scores):
                         if shared > best[owner[q]]:
                             best[owner[q]] = shared
                             pick[owner[q]] = (combo, p1, q)
-            unit = units[demands[i]]
-            for j in range(i + 1, n):
-                if best[j]:
-                    weights[(i, j)] = min(unit, units[demands[j]]) * best[j]
-                    picks[(i, j)] = pick[j]
+            for j in compress(range(i + 1, n), best[i + 1 :]):
+                weights[(i, j)] = min(cluster_units[i], cluster_units[j]) * best[j]
+                picks[(i, j)] = pick[j]
         for i, j in max_weight_pairs(n, weights):
             d1, d2 = demands[i], demands[j]
             combo, p1, q = picks[(i, j)]

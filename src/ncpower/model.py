@@ -9,10 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import DomainError, InstanceError
 from .power import PowerParams
+
+if TYPE_CHECKING:
+    from .routing import _PairWalk
 
 # Directed link and canonical (u < v) undirected edge.
 Link = tuple[int, int]
@@ -82,8 +85,8 @@ class Topology:
         return {}
 
     @cached_property
-    def _pair_totals(self) -> dict[tuple[int, int], int]:
-        # minimum disjoint-pair total per ordered (s, t); routing fills it
+    def _pair_walks(self) -> dict[tuple[int, int], _PairWalk]:
+        # disjoint-pair candidate walk per ordered (s, t); routing fills it
         return {}
 
     def distances_to(self, node: int) -> dict[int, int]:

@@ -95,6 +95,11 @@ def _search(
     for dest, demands in _clusters(instance.demands).items():
         n = len(demands)
         cluster_pools = [pools[d] for d in demands]
+        # each candidate path's link set, built once per cluster
+        link_sets = [
+            [{kind: pair.path(kind).link_set for kind in PathKind} for pair in pool]
+            for pool in cluster_pools
+        ]
 
         # links shared by pair (i, j) when i uses candidate ci and j uses cj:
         # the most over ``combos``, the first of equal counts
@@ -102,10 +107,7 @@ def _search(
             best_shared: frozenset | None = None
             best_combo = None
             for combo in combos:
-                shared = (
-                    cluster_pools[i][ci].path(combo[0]).link_set
-                    & cluster_pools[j][cj].path(combo[1]).link_set
-                )
+                shared = link_sets[i][ci][combo[0]] & link_sets[j][cj][combo[1]]
                 if best_shared is None or len(shared) > len(best_shared):
                     best_shared = shared
                     best_combo = combo

@@ -6,22 +6,33 @@ the reference tables under tests/data/) are reproducible bit-for-bit:
 * ``shortest_path`` returns the lexicographically smallest minimum-hop path.
 * A disjoint pair is ordered (working, protection) by (hop count, sequence).
 * Candidate pairs are sorted by (working sequence, protection sequence).
+
+The candidates of each ordered (source, dest) come from one walk per
+topology.  Its record, kept with the topology beside the distance tables,
+holds the minimum total, the pairs found so far and whether the walk has run
+out.  A call that needs more pairs resumes the walk after the last pair found:
+the walk yields in strict lex order, so what it meets after that pair is what
+a fresh walk meets after it, and every budget gets the same first k pairs.
+Paths keep only their node tuples; their link views are rebuilt on each read.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, RoutingError, SurvivabilityError
 from .model import Demand, Edge, Instance, Link, Topology, _bfs_dist, undirected
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
-    """A simple path stored as its node sequence."""
+    """A simple path stored as its node sequence.
+
+    Only the nodes are stored; the link views are built on each read, so a
+    path held for a whole run costs its node tuple and no more.
+    """
 
     nodes: tuple[int, ...]
 
@@ -35,15 +46,15 @@ class Path:
     def hop_count(self) -> int:
         return len(self.nodes) - 1
 
-    @cached_property
+    @property
     def links(self) -> tuple[Link, ...]:
         return tuple(zip(self.nodes, self.nodes[1:]))
 
-    @cached_property
+    @property
     def link_set(self) -> frozenset[Link]:
-        return frozenset(self.links)
+        return frozenset(zip(self.nodes, self.nodes[1:]))
 
-    @cached_property
+    @property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(undirected(l) for l in self.links)
 
@@ -56,7 +67,7 @@ class PathKind(Enum):
     PROTECTION = "p"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathPair:
     """Working and protection path of one demand; disjoint in the fibre view."""
 
@@ -68,7 +79,10 @@ class PathPair:
         for path in (self.working, self.protection):
             if path.nodes[0] != self.demand.source or path.nodes[-1] != self.demand.dest:
                 raise ContractError(f"path {path} does not serve demand {self.demand}")
-        if self.working.edge_set & self.protection.edge_set:
+        w, p = self.working.nodes, self.protection.nodes
+        fibres = set(zip(w, w[1:]))
+        fibres.update(zip(w[1:], w))
+        if not fibres.isdisjoint(zip(p, p[1:])):
             raise ContractError(f"paths of {self.demand} share a fibre")
         if self.working.hop_count > self.protection.hop_count:
             raise ContractError("working path must not be longer than protection")
@@ -101,19 +115,19 @@ def shortest_path(topology: Topology, source: int, dest: int) -> Path:
     return Path(tuple(nodes))
 
 
-def _min_pair_total(topology: Topology, source: int, dest: int) -> int:
-    """Minimum total hop count over all edge-disjoint path pairs.
+@dataclass(slots=True)
+class _PairWalk:
+    """The candidate walk of one ordered (s, t), as far as it has gone.
 
-    The total of each ordered (source, dest) is searched once per topology
-    and kept with it, beside its distance tables, so the routing call, the
-    selector's wider candidate pool and the oracle's all share one search.
-    A pair that does not exist raises on every call; errors are not kept.
+    ``total`` is the minimum disjoint-pair total, ``pairs`` the optimal
+    (working, protection) pairs found so far in lex order, and ``done`` says
+    the walk has run out.  The last pair alone marks where the walk stopped,
+    so no generator or reduced adjacency is kept between calls.
     """
-    totals = topology._pair_totals
-    total = totals.get((source, dest))
-    if total is None:
-        total = totals[(source, dest)] = _suurballe_total(topology, source, dest)
-    return total
+
+    total: int
+    pairs: list[tuple[Path, Path]] = field(default_factory=list)
+    done: bool = False
 
 
 def _suurballe_total(topology: Topology, source: int, dest: int) -> int:
@@ -123,45 +137,43 @@ def _suurballe_total(topology: Topology, source: int, dest: int) -> int:
     Tarjan, 1984): in the residual graph of the shortest path (its links
     reversed at cost -1) an arc u->v has reduced cost 1 + d(v) - d(u) >= 0,
     and a reversed link 0, so a single Dijkstra run finds the cheapest
-    augmenting path.
+    augmenting path.  Among equal distances dest is popped first, which
+    ends the search early without changing any distance.
     """
-    base = shortest_path(topology, source, dest)
+    base = shortest_path(topology, source, dest).nodes
+    adjacency = topology.adjacency
     to_dest = topology.distances_to(dest)
-    base_edges = base.edge_set
-    reversed_links = {(b, a) for a, b in base.links}
-
-    def reduced_arcs(node: int):
-        for nb in topology.adjacency[node]:
-            if undirected((node, nb)) in base_edges:
-                if (node, nb) in reversed_links:
-                    yield nb, 0
-                continue
-            yield nb, 1 + to_dest[nb] - to_dest[node]
+    forward = set(zip(base, base[1:]))
+    backward = set(zip(base[1:], base))
 
     dist: dict[int, int] = {}
-    queue: list[tuple[int, int]] = [(0, source)]
+    queue: list[tuple[int, bool, int]] = [(0, source != dest, source)]
     while queue:
-        d, node = heapq.heappop(queue)
+        d, _, node = heapq.heappop(queue)
         if node in dist:
             continue
         dist[node] = d
         if node == dest:
             break
-        for nb, w in reduced_arcs(node):
-            if nb not in dist:
-                heapq.heappush(queue, (d + w, nb))
+        for nb in adjacency[node]:
+            if nb in dist or (node, nb) in forward:
+                continue
+            w = 0 if (node, nb) in backward else 1 + to_dest[nb] - to_dest[node]
+            heapq.heappush(queue, (d + w, nb != dest, nb))
     if dest not in dist:
         # the reached set holds a prefix of the base path (each base link's
         # reversed arc leads back) and no other edge leaves it, so the one
         # base link out of it is the bridge nearest the source
-        edge = next(undirected((a, b)) for a, b in base.links if a in dist and b not in dist)
+        edge = next(
+            undirected((a, b)) for a, b in zip(base, base[1:]) if a in dist and b not in dist
+        )
         raise SurvivabilityError(
             f"no edge-disjoint path pair from {source} to {dest}: "
             f"edge {edge} is a cut edge",
             cut_edge=edge,
         )
     # undo the potential shift: true residual cost = dist + d(source)
-    return base.hop_count + dist[dest] + to_dest[source]
+    return len(base) - 1 + dist[dest] + to_dest[source]
 
 
 def _simple_paths_upto(
@@ -170,6 +182,7 @@ def _simple_paths_upto(
     source: int,
     dest: int,
     max_hops: int,
+    after: tuple[int, ...] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Simple source->dest paths of at most max_hops hops, yielded in lex order.
 
@@ -179,14 +192,29 @@ def _simple_paths_upto(
     ``adjacency``, prunes every branch that cannot reach dest within the hops
     left.  The paths are produced lazily, so a caller that stops early pays
     only for the paths it consumed.
+
+    ``after``, a path this walk yields, resumes the walk strictly after it:
+    the stack is rebuilt along ``after`` with each level's neighbour iterator
+    advanced past the next node, which is where the walk stood when it
+    yielded ``after``.
     """
     if dist_to_dest.get(source, max_hops + 1) > max_hops:
         return
     # explicit stack of neighbour iterators: recursing would overflow on paths
     # hundreds of hops deep, e.g. the far arc of a large ring
-    path = [source]
-    on_path = {source}
-    stack = [iter(adjacency[source])]
+    if after is None:
+        path = [source]
+        stack = [iter(adjacency[source])]
+    else:
+        path = list(after[:-1])
+        stack = []
+        for node, nxt in zip(after, after[1:]):
+            neighbours = iter(adjacency[node])
+            for nb in neighbours:
+                if nb == nxt:
+                    break
+            stack.append(neighbours)
+    on_path = set(path)
     while stack:
         budget = max_hops - len(path) + 1
         for nb in stack[-1]:
@@ -209,10 +237,47 @@ def _without_fibres(
 ) -> dict[int, Sequence[int]]:
     """A copy of adjacency with every fibre of the path ``nodes`` removed."""
     reduced = dict(adjacency)
-    for a, b in zip(nodes, nodes[1:]):
-        reduced[a] = [nb for nb in reduced[a] if nb != b]
-        reduced[b] = [nb for nb in reduced[b] if nb != a]
+    # each node of the path loses the fibres to its neighbours on the path
+    ends = (None, *nodes, None)
+    for prev, node, nxt in zip(ends, nodes, ends[2:]):
+        reduced[node] = [nb for nb in adjacency[node] if nb != prev and nb != nxt]
     return reduced
+
+
+def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int) -> None:
+    """Extend ``walk`` until it holds k pairs or has run out.
+
+    A walk that stopped did so right after its last pair (W*, P*), so it
+    resumes with the protection paths after P* in the graph without W*'s
+    fibres, then with the working paths after W*.
+    """
+    adjacency = topology.adjacency
+    pairs = walk.pairs
+
+    def pair_with(working: tuple[int, ...], after: tuple[int, ...] | None = None) -> bool:
+        """Append working's pairs after ``after``; True once there are k."""
+        reduced = _without_fibres(adjacency, working)
+        for protection in _simple_paths_upto(
+            reduced, _bfs_dist(reduced, dest), source, dest, walk.total - len(working) + 1, after
+        ):
+            if len(protection) == len(working) and protection < working:
+                continue
+            pairs.append((Path(working), Path(protection)))
+            if len(pairs) == k:
+                return True
+        return False
+
+    last_working = None
+    if pairs:
+        last_working, last_protection = (path.nodes for path in pairs[-1])
+        if pair_with(last_working, last_protection):
+            return
+    for working in _simple_paths_upto(
+        adjacency, topology.distances_to(dest), source, dest, walk.total // 2, last_working
+    ):
+        if pair_with(working):
+            return
+    walk.done = True
 
 
 def disjoint_pair_candidates(topology: Topology, demand: Demand, k: int = 8) -> list[PathPair]:
@@ -235,23 +300,30 @@ def disjoint_pair_candidates(topology: Topology, demand: Demand, k: int = 8) -> 
     order, so pairs come out sorted and the search stops at the k-th.  Its
     cost is in proportion to the working paths tried and the k pairs
     returned, not to the number of all paths in the graph.
+
+    The Suurballe search and the walk of each ordered (source, dest) run
+    once per topology, so the routing call, the selector's wider pool and
+    the oracle's share them.  The walk's record is kept with the topology,
+    keyed by the endpoints alone so that volume sweeps share it too.  A call
+    for no more pairs than it holds, or for any number once the walk has run
+    out, reads them; a call for more resumes the walk after the last pair.
+    Both loops yield in strict lex order, so the walk resumed after
+    (W*, P*) meets exactly the pairs a fresh walk meets after it, and the
+    first k pairs are the same whatever budgets came before.  Each call
+    returns fresh ``PathPair``s in a fresh list, which the caller may
+    extend.  A pair that does not exist raises on every call; errors are
+    not kept.
     """
     if k < 1:
         raise ContractError("candidate budget must be at least 1")
     s, t = demand.source, demand.dest
-    total = _min_pair_total(topology, s, t)
-    pairs: list[PathPair] = []
-    adjacency = topology.adjacency
-    for working in _simple_paths_upto(adjacency, topology.distances_to(t), s, t, total // 2):
-        reduced = _without_fibres(adjacency, working)
-        dist_reduced = _bfs_dist(reduced, t)
-        for protection in _simple_paths_upto(reduced, dist_reduced, s, t, total - len(working) + 1):
-            if len(protection) == len(working) and protection < working:
-                continue
-            pairs.append(PathPair(demand, Path(working), Path(protection)))
-            if len(pairs) == k:
-                return pairs
-    return pairs
+    walks = topology._pair_walks
+    walk = walks.get((s, t))
+    if walk is None:
+        walk = walks[(s, t)] = _PairWalk(_suurballe_total(topology, s, t))
+    if len(walk.pairs) < k and not walk.done:
+        _walk_on(topology, walk, s, t, k)
+    return [PathPair(demand, working, protection) for working, protection in walk.pairs[:k]]
 
 
 def suurballe_pair(topology: Topology, demand: Demand) -> PathPair:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -16,7 +17,7 @@ from conftest import (
     random_survivable_instance,
 )
 
-from ncpower import bounds, model, routing
+from ncpower import bounds, cli, model, routing
 from ncpower.bounds import bound_nc
 from ncpower.coding import select_pairs_osh
 from ncpower.errors import ContractError, RoutingError, SurvivabilityError
@@ -346,3 +347,72 @@ def test_pair_total_searched_once_per_ordered_pair(monkeypatch):
         errors.append((str(err.value), err.value.cut_edge))
     assert errors[0] == errors[1]
     assert errors[0][1] == (3, 4)
+
+
+def test_resumed_walk_equals_fresh_walk():
+    # one topology asked with budgets 1, 2, 5, 3, 8 resumes or reads its walk;
+    # each answer is a prefix of a fresh k=8 walk on a new topology
+    rng = random.Random(20261018)
+    graphs = [random_survivable_instance(rng, n_lo=5, n_hi=8).topology for _ in range(12)]
+    graphs += [grid_topology(3, 4), grid_topology(4, 4), grid_topology(4, 5)]
+    resumed = 0
+    for topo in graphs:
+        n = topo.node_count
+        for s, t in itertools.permutations(range(1, n + 1), 2):
+            d = Demand(s, t, 1.0)
+            fresh = disjoint_pair_candidates(Topology(n, topo.links), d, 8)
+            for k in (1, 2, 5, 3, 8):
+                cands = disjoint_pair_candidates(topo, d, k)
+                assert cands == fresh[:k]
+            resumed += len(fresh) > 5
+            pairs = [(c.working.nodes, c.protection.nodes) for c in cands]
+            assert pairs == brute_min_pairs(topo, s, t)[:8]
+    assert resumed > 0
+
+
+def test_extending_a_returned_pool_leaves_the_walk():
+    topo = grid_topology(4, 4)
+    d = Demand(1, 16, 1.0)
+    pool = disjoint_pair_candidates(topo, d, 3)
+    pool.append(pool[0])
+    assert disjoint_pair_candidates(topo, d, 3) == pool[:3]
+    assert len(topo._pair_walks[(1, 16)].pairs) == 3
+    # the selector appends the caller's pair when it is optimal but not pooled
+    inst = model.Instance(topo, (d,))
+    second = disjoint_pair_candidates(topo, d, 2)[1]
+    select_pairs_osh(inst, [second], candidate_budget=1)
+    assert len(topo._pair_walks[(1, 16)].pairs) == 3
+    fresh = disjoint_pair_candidates(grid_topology(4, 4), d, 8)
+    assert disjoint_pair_candidates(topo, d, 8) == fresh
+
+
+def test_volume_sweep_keeps_one_walk_per_ordered_pair(monkeypatch, capsys):
+    topologies = []
+    real = cli.route_instance
+
+    def recording(instance):
+        topologies.append(instance.topology)
+        return real(instance)
+
+    monkeypatch.setattr(cli, "route_instance", recording)
+    assert cli.main(["analyze", "--gen", "ring:7", "--sweep", "10:50:10"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6
+    assert len(topologies) == 5 and all(topo is topologies[0] for topo in topologies)
+    # keyed by (s, t), not by the demand, whose volume changes per point
+    assert set(topologies[0]._pair_walks) == set(itertools.permutations(range(1, 8), 2))
+
+
+# twice the 5.79 MB traced peak of routing and selecting ring:40 with lean
+# paths and one walk per ordered pair (it was 33.5 MB with cached link sets)
+PEAK_BOUND_RING_40 = 11_600_000
+
+
+def test_route_and_select_peak_memory_on_ring_40():
+    inst = generate_ring(40)
+    tracemalloc.start()
+    try:
+        select_pairs_osh(inst, route_instance(inst))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND_RING_40
