@@ -14,6 +14,12 @@ ascending, blossoms in creation order, the S-vertex queue last-in first-out.
 Both therefore return the same pairs, not merely matchings of equal weight.
 Weights are ints, so every result is checked for dual optimality.
 
+Each best edge's slack sits beside it in ``bestslack``, refreshed once per
+dual update, so no comparison recomputes the slack of the stored edge.  No
+matrix of allowed edges is kept: van Rantwijk marks an edge allowed only when
+its slack is zero, so between two top-level blossoms "allowed" is exactly
+"int slack <= 0", which the scan computes once per edge.
+
 ``exhaustive_matching`` is the brute-force counterpart that only the oracles
 use: it visits every matching in lexicographic order and counts them.
 """
@@ -71,20 +77,16 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
     mybestedges: list[list[tuple[int, int]] | None] = [None] * (2 * n)
     # bestedge[w] of a free vertex: its least-slack edge from an S-vertex;
     # bestedge[b] of a top-level S-blossom: its least-slack edge to another
-    # S-blossom
+    # S-blossom; bestslack holds each one's slack, inf where it is None
     bestedge: list[tuple[int, int] | None] = [None] * (2 * n)
+    bestslack: list[float] = [math.inf] * (2 * n)
     # 2 * u(v) per vertex and z(b) per blossom
     dualvar = [maxweight] * n
     blossomdual = [0] * (2 * n)
     # live non-trivial blossoms in creation order, and the ids not in use
     blossoms: list[int] = []
     unused = list(range(2 * n - 1, n - 1, -1))
-    # allowed[v][w]: edge (v, w) is known to have zero slack in this stage
-    allowed: list[list[bool]] = []
     queue: list[int] = []
-
-    def slack(v: int, w: int):
-        return dualvar[v] + dualvar[w] - weight2[v][w]
 
     def leaves(b: int) -> list[int]:
         out = []
@@ -103,6 +105,7 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
         label[w] = label[b] = t
         labeledge[w] = labeledge[b] = (v, w) if v != -1 else None
         bestedge[w] = bestedge[b] = None
+        bestslack[w] = bestslack[b] = math.inf
         if t == 1:
             if b >= n:
                 queue.extend(leaves(b))
@@ -169,7 +172,9 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
                 # a T-vertex inside the new S-blossom turns S
                 queue.append(v)
             inblossom[v] = b
+        # the least-slack edge to each other S-blossom, and its slack
         bestedgeto: dict[int, tuple[int, int]] = {}
+        slackto: dict[int, int] = {}
         for bv in path:
             if bv >= n:
                 if mybestedges[bv] is not None:
@@ -184,27 +189,26 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
                 if inblossom[j] == b:
                     i, j = j, i
                 bj = inblossom[j]
-                if (
-                    bj != b
-                    and label[bj] == 1
-                    and (bj not in bestedgeto or slack(i, j) < slack(*bestedgeto[bj]))
-                ):
-                    bestedgeto[bj] = k
+                if bj != b and label[bj] == 1:
+                    kslack = dualvar[i] + dualvar[j] - weight2[i][j]
+                    if kslack < slackto.get(bj, math.inf):
+                        bestedgeto[bj] = k
+                        slackto[bj] = kslack
             bestedge[bv] = None
+            bestslack[bv] = math.inf
         mybestedges[b] = list(bestedgeto.values())
-        mybestedge = None
-        mybestslack = 0
-        for k in mybestedges[b]:
-            kslack = slack(*k)
-            if mybestedge is None or kslack < mybestslack:
-                mybestedge = k
-                mybestslack = kslack
-        bestedge[b] = mybestedge
+        bestedge[b] = None
+        bestslack[b] = math.inf
+        for bj, kslack in slackto.items():
+            if kslack < bestslack[b]:
+                bestedge[b] = bestedgeto[bj]
+                bestslack[b] = kslack
 
     def forget_blossom(b: int):
         label[b] = 0
         labeledge[b] = None
         bestedge[b] = None
+        bestslack[b] = math.inf
         mybestedges[b] = None
         blossombase[b] = -1
         blossomparent[b] = -1
@@ -232,19 +236,18 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
             label[w] = 0
             label[q] = 0
             assign_label(w, 2, v)
-            allowed[p][q] = allowed[q][p] = True
             j += jstep
             if jstep == 1:
                 v, w = edgs[j]
             else:
                 w, v = edgs[j - 1]
-            allowed[v][w] = allowed[w][v] = True
             j += jstep
         # the base T-sub-blossom is relabeled without stepping to its mate
         bw = sub[j]
         label[w] = label[bw] = 2
         labeledge[w] = labeledge[bw] = (v, w)
         bestedge[bw] = None
+        bestslack[bw] = math.inf
         j += jstep
         while sub[j] != entrychild:
             # a sub-blossom holding a vertex reachable from outside turns T
@@ -383,9 +386,9 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
         label[:] = [0] * (2 * n)
         labeledge[:] = [None] * (2 * n)
         bestedge[:] = [None] * (2 * n)
+        bestslack[:] = [math.inf] * (2 * n)
         for b in blossoms:
             mybestedges[b] = None
-        allowed[:] = [[False] * n for _ in range(n)]
         queue.clear()
 
         for v in range(n):
@@ -399,42 +402,37 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
                 v = queue.pop()
                 dual_v = dualvar[v]
                 weight2_v = weight2[v]
-                allowed_v = allowed[v]
                 # only add_blossom moves v to another top-level blossom
                 bv = inblossom[v]
                 for w in adjacency[v]:
                     bw = inblossom[w]
                     if bv == bw:
                         continue
-                    if not allowed_v[w]:
-                        kslack = dual_v + dualvar[w] - weight2_v[w]
-                        if kslack <= 0:
-                            allowed_v[w] = allowed[w][v] = True
-                    if allowed_v[w]:
-                        if label[bw] == 0:
-                            # w is free: label it T and its mate S
-                            assign_label(w, 2, v)
-                        elif label[bw] == 1:
-                            base = scan_blossom(v, w)
-                            if base != -1:
-                                add_blossom(base, v, w)
-                                bv = inblossom[v]
-                            else:
-                                augment_matching(v, w)
-                                augmented = True
-                                break
-                        elif label[w] == 0:
-                            # w lies inside a T-blossom and is now reached
-                            label[w] = 2
-                            labeledge[w] = (v, w)
-                    elif label[bw] == 1:
-                        best = bestedge[bv]
-                        if best is None or kslack < slack(*best):
-                            bestedge[bv] = (v, w)
-                    elif label[w] == 0:
-                        best = bestedge[w]
-                        if best is None or kslack < slack(*best):
+                    kslack = dual_v + dualvar[w] - weight2_v[w]
+                    if kslack > 0:
+                        if label[bw] == 1:
+                            if kslack < bestslack[bv]:
+                                bestedge[bv] = (v, w)
+                                bestslack[bv] = kslack
+                        elif label[w] == 0 and kslack < bestslack[w]:
                             bestedge[w] = (v, w)
+                            bestslack[w] = kslack
+                    elif label[bw] == 0:
+                        # w is free: label it T and its mate S
+                        assign_label(w, 2, v)
+                    elif label[bw] == 1:
+                        base = scan_blossom(v, w)
+                        if base != -1:
+                            add_blossom(base, v, w)
+                            bv = inblossom[v]
+                        else:
+                            augment_matching(v, w)
+                            augmented = True
+                            break
+                    elif label[w] == 0:
+                        # w lies inside a T-blossom and is now reached
+                        label[w] = 2
+                        labeledge[w] = (v, w)
 
             if augmented:
                 break
@@ -448,7 +446,7 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
             # delta2: least slack of an edge from an S-vertex to a free vertex
             for v in range(n):
                 if label[inblossom[v]] == 0 and bestedge[v] is not None:
-                    d = slack(*bestedge[v])
+                    d = bestslack[v]
                     if d < delta:
                         delta = d
                         deltatype = 2
@@ -456,7 +454,7 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
             # delta3: half the least slack of an edge between two S-blossoms
             for b in chain(range(n), blossoms):
                 if blossomparent[b] == -1 and label[b] == 1 and bestedge[b] is not None:
-                    d = slack(*bestedge[b]) // 2
+                    d = bestslack[b] // 2
                     if d < delta:
                         delta = d
                         deltatype = 3
@@ -479,13 +477,15 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
                         blossomdual[b] += delta
                     elif label[b] == 2:
                         blossomdual[b] -= delta
+            for x, e in enumerate(bestedge):
+                if e is not None:
+                    bestslack[x] = dualvar[e[0]] + dualvar[e[1]] - weight2[e[0]][e[1]]
 
             if deltatype == 1:
                 break
             elif deltatype in (2, 3):
-                v, w = deltaedge
-                allowed[v][w] = allowed[w][v] = True
-                queue.append(v)
+                # the edge is tight now, so the scan of v takes it
+                queue.append(deltaedge[0])
             else:
                 expand_blossom(deltablossom, False)
 

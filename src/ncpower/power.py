@@ -16,7 +16,7 @@ from .errors import ContractError, DomainError
 
 if TYPE_CHECKING:  # imported only for annotations; model imports us at runtime
     from .coding import CodingAssignment
-    from .model import Instance
+    from .model import Demand, Instance
     from .routing import PathPair
 
 
@@ -58,7 +58,10 @@ def eval_conventional(instance: Instance, routing: Iterable[PathPair]) -> float:
     """Power of plain 1+1 protection: k * sum_d V_d * (working + protection hops)."""
     from .routing import index_routing  # deferred: model->power->routing would cycle
 
-    by_demand = index_routing(instance, routing)
+    return _conventional(instance, index_routing(instance, routing))
+
+
+def _conventional(instance: Instance, by_demand: dict[Demand, PathPair]) -> float:
     k = instance.power.slope_w_per_gbps
     return k * sum(d.volume * by_demand[d].total_hops for d in instance.demands)
 
@@ -79,7 +82,7 @@ def eval_with_coding(
 
     by_demand = index_routing(instance, routing)
     k = instance.power.slope_w_per_gbps
-    p1 = eval_conventional(instance, routing)
+    p1 = _conventional(instance, by_demand)
 
     reduction = 0.0
     for coded in assignment.pairs:

@@ -122,12 +122,15 @@ class _PairWalk:
     ``total`` is the minimum disjoint-pair total, ``pairs`` the optimal
     (working, protection) pairs found so far in lex order, and ``done`` says
     the walk has run out.  The last pair alone marks where the walk stopped,
-    so no generator or reduced adjacency is kept between calls.
+    so no generator or reduced adjacency is kept between calls.  ``more``
+    says whether the last working path W* has a protection after the last
+    protection P*: the walk looked one pair ahead before it stopped.
     """
 
     total: int
     pairs: list[tuple[Path, Path]] = field(default_factory=list)
     done: bool = False
+    more: bool = False
 
 
 def _suurballe_total(topology: Topology, source: int, dest: int) -> int:
@@ -249,7 +252,12 @@ def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int
 
     A walk that stopped did so right after its last pair (W*, P*), so it
     resumes with the protection paths after P* in the graph without W*'s
-    fibres, then with the working paths after W*.
+    fibres, then with the working paths after W*.  The first part runs only
+    when ``walk.more`` is set: at the k-th pair the inner walk draws once
+    more, while its reduced graph and BFS are at hand, and records whether
+    a further protection exists.  It follows shortest paths of that graph
+    only, so the extra draw costs at most one path; on a ring, where every
+    W has one protection, it spares each resume a reduced graph and a BFS.
     """
     adjacency = topology.adjacency
     pairs = walk.pairs
@@ -262,15 +270,17 @@ def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int
         ):
             if len(protection) == len(working) and protection < working:
                 continue
-            pairs.append((Path(working), Path(protection)))
             if len(pairs) == k:
+                walk.more = True
                 return True
-        return False
+            pairs.append((Path(working), Path(protection)))
+        walk.more = False
+        return len(pairs) == k
 
     last_working = None
     if pairs:
         last_working, last_protection = (path.nodes for path in pairs[-1])
-        if pair_with(last_working, last_protection):
+        if walk.more and pair_with(last_working, last_protection):
             return
     for working in _simple_paths_upto(
         adjacency, topology.distances_to(dest), source, dest, walk.total // 2, last_working

@@ -206,6 +206,19 @@ def test_matching_returns_networkx_pairs(monkeypatch):
         assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
 
 
+def test_dense_matching_returns_networkx_pairs():
+    # complete graphs, as every ring cluster is: each S-vertex scan meets
+    # every other blossom, so the cached best-edge slacks and the tight-edge
+    # test decide at every step
+    rng = random.Random(1986)
+    for n in range(20, 61):
+        edges = list(itertools.combinations(range(n), 2))
+        ties = {e: rng.randint(1, 3) for e in edges}
+        hops = {e: rng.choice((10, 20, 40)) * rng.randint(1, 8) for e in edges}
+        for weights in (ties, hops):
+            assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
+
+
 def test_max_weight_pairs_returns_networkx_pairs():
     # small clusters go through the blossom as well, so ties among
     # equal-weight matchings break as networkx breaks them at every size

@@ -44,6 +44,8 @@ def test_mesh5_coded_power_at_optimum():
     report = eval_with_coding(inst, sel.routing, sel.assignment)
     assert report.p_total == pytest.approx(26825.0, abs=1e-9)
     assert report.savings_fraction == pytest.approx(1 / 6, abs=1e-12)
+    # the routing is read once, so a one-shot iterable gives the same report
+    assert eval_with_coding(inst, iter(sel.routing), sel.assignment) == report
 
 
 def test_ring5_protection_matching_power():

@@ -386,6 +386,41 @@ def test_extending_a_returned_pool_leaves_the_walk():
     assert disjoint_pair_candidates(topo, d, 8) == fresh
 
 
+def _recording_without_fibres(monkeypatch) -> list[tuple[int, ...]]:
+    working_paths = []
+    real = routing._without_fibres
+
+    def recording(adjacency, nodes):
+        working_paths.append(nodes)
+        return real(adjacency, nodes)
+
+    monkeypatch.setattr(routing, "_without_fibres", recording)
+    return working_paths
+
+
+def test_ring_walk_builds_one_reduced_graph_per_ordered_pair(monkeypatch):
+    # a ring demand has one optimal pair; the look-ahead at k=1 finds no
+    # second protection, so the k=8 pool goes straight to the outer walk
+    working_paths = _recording_without_fibres(monkeypatch)
+    inst = generate_ring(9)
+    select_pairs_osh(inst, route_instance(inst))
+    assert len(working_paths) == 9 * 8
+
+
+def test_look_ahead_resumes_the_inner_walk_when_it_found_more(monkeypatch):
+    # on the 3x3 grid, 1 -> 9, working path 1-2-3-6-9 has two protections
+    topo = grid_topology(3, 3)
+    d = Demand(1, 9, 1.0)
+    disjoint_pair_candidates(topo, d, 1)
+    assert topo._pair_walks[(1, 9)].more
+    working_paths = _recording_without_fibres(monkeypatch)
+    pool = disjoint_pair_candidates(topo, d, 2)
+    assert working_paths == [(1, 2, 3, 6, 9)]
+    assert [p.working.nodes for p in pool] == [(1, 2, 3, 6, 9)] * 2
+    assert not topo._pair_walks[(1, 9)].more
+    assert pool == disjoint_pair_candidates(grid_topology(3, 3), d, 8)[:2]
+
+
 def test_volume_sweep_keeps_one_walk_per_ordered_pair(monkeypatch, capsys):
     topologies = []
     real = cli.route_instance
