@@ -12,13 +12,14 @@ import argparse
 import math
 import sys
 from pathlib import Path as FilePath
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bounds import BoundReport, bound_nc, closed_form, uniform_bound
 from .coding import (
     COMBO_NAMES,
     EMPTY_ASSIGNMENT,
     SelectionResult,
+    rekey_selection,
     select_pairs_fixed,
     select_pairs_osh,
 )
@@ -31,7 +32,7 @@ from .errors import (
 from .model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
 from .oracle import JOINT_NODE_GUARD, optimal_joint
 from .power import PowerParams, PowerReport, eval_with_coding
-from .routing import route_instance
+from .routing import PathPair, route_instance
 
 HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 
@@ -40,9 +41,14 @@ HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 # analyze and sweep refuse a generated size
 EVAL_DEMAND_LIMIT = 20_000
 
-# every volume of an analyze --sweep is a full instance to route and select,
-# and every size of a sweep a row; both refuse more than this many points
+# every volume of an analyze --sweep re-keys and prices each demand, and every
+# size of a sweep is an instance to route and select; both refuse more than
+# this many points
 SWEEP_POINT_LIMIT = 10_000
+
+# the uniform volume at which a volume sweep selects once; any positive
+# volume selects the same (see _volume_reports)
+REFERENCE_VOLUME = 20.0
 
 POWER_HEADER = ["conventional_w", "total_w", "reduction_w", "savings_pct"]
 
@@ -118,12 +124,15 @@ def _build_instance(args, volume: float | None) -> Instance:
     return _load_file(args.instance, volume, args.power)
 
 
-def _evaluate(
+def _selections(
     instance: Instance, heuristics: Sequence[str], budget: int
-) -> list[tuple[PowerReport, SelectionResult]]:
-    """Route the instance once, then run and price each heuristic in order."""
+) -> tuple[tuple[PathPair, ...], list[SelectionResult]]:
+    """Route the instance once, then run each heuristic's selection in order.
+
+    Returns the routing and the selections; nothing is priced here.
+    """
     routing = route_instance(instance)
-    results = []
+    selections = []
     for name in heuristics:
         if name == "conventional":
             selection = SelectionResult(EMPTY_ASSIGNMENT, routing)
@@ -134,9 +143,41 @@ def _evaluate(
             selection = SelectionResult(joint.best_assignment, joint.best_routing)
         else:
             selection = select_pairs_fixed(instance, routing, COMBO_NAMES[name])
-        report = eval_with_coding(instance, selection.routing, selection.assignment)
-        results.append((report, selection))
-    return results
+        selections.append(selection)
+    return routing, selections
+
+
+def _evaluate(
+    instance: Instance, heuristics: Sequence[str], budget: int
+) -> list[tuple[PowerReport, SelectionResult]]:
+    """Each heuristic's selection on the instance, priced at its volumes."""
+    _, selections = _selections(instance, heuristics, budget)
+    return [(eval_with_coding(instance, s.routing, s.assignment), s) for s in selections]
+
+
+def _volume_reports(
+    instance: Instance, volumes: Sequence[float], heuristics: Sequence[str], budget: int
+) -> Iterator[tuple[float, list[PowerReport]]]:
+    """Each heuristic's report at each uniform volume, from one selection.
+
+    At a uniform volume V > 0 every demand weighs one volume unit, so the
+    routing, the candidate pools, the matchings and the oracle's search are
+    the same for every such V.  The selections are made once, at
+    REFERENCE_VOLUME, and re-keyed to each volume's demands.  At V = 0 no
+    pair weighs anything, and a fresh run keeps the routing of
+    ``route_instance`` with no coded pair.
+    """
+    routing, selections = _selections(
+        _with_volume(instance, REFERENCE_VOLUME), heuristics, budget
+    )
+    uncoded = SelectionResult(EMPTY_ASSIGNMENT, routing)
+    for volume in volumes:
+        at = _with_volume(instance, volume)
+        if volume:
+            chosen = [rekey_selection(s, at) for s in selections]
+        else:
+            chosen = [rekey_selection(uncoded, at)] * len(selections)
+        yield volume, [eval_with_coding(at, s.routing, s.assignment) for s in chosen]
 
 
 def _power_row(report: PowerReport) -> list[str]:
@@ -168,8 +209,8 @@ def _sweep_volumes(spec: str) -> list[float]:
         raise InstanceError(f"--sweep {spec!r}: values must be numbers") from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise InstanceError(f"--sweep {spec!r}: values must be finite")
-    if step <= 0 or stop < start:
-        raise InstanceError("--sweep needs step > 0 and stop >= start")
+    if step <= 0 or stop < start or start < 0:
+        raise InstanceError("--sweep needs step > 0, stop >= start and start >= 0")
     if (stop - start) / step + 1 > SWEEP_POINT_LIMIT:
         raise InstanceError(f"--sweep {spec!r} spans more than {SWEEP_POINT_LIMIT} volumes")
     values = []
@@ -209,15 +250,14 @@ def _print_report(instance: Instance, report: PowerReport, bounds: BoundReport, 
 
 def _cmd_analyze(args) -> int:
     if args.sweep:
+        if args.volume is not None:
+            raise InstanceError("--volume and --sweep cannot be combined: the sweep sets every volume")
         volumes = _sweep_volumes(args.sweep)
-        # one instance, and so one topology with its distance tables and
-        # candidate walks, for the whole sweep; each point re-keys the
-        # demands to its volume
         instance = _build_instance(args, None)
-        rows = []
-        for volume in volumes:
-            [(report, _)] = _evaluate(_with_volume(instance, volume), [args.heuristic], args.budget)
-            rows.append([fmt(volume)] + _power_row(report))
+        rows = [
+            [fmt(volume)] + _power_row(report)
+            for volume, [report] in _volume_reports(instance, volumes, [args.heuristic], args.budget)
+        ]
         _write_csv(args.out, ["volume_gbps"] + POWER_HEADER, rows)
         return 0
     instance = _build_instance(args, args.volume)
@@ -335,11 +375,11 @@ def _cmd_sweep(args) -> int:
 def _repro_volume_table(kind: str) -> tuple[list[str], list[list[str]]]:
     header = ["volume_gbps", "conventional_w", "nc_analytic_w", "nc_oracle_w", "osh_w"]
     params = PowerParams()
+    volumes = [float(v) for v in range(20, 201, 20)]
+    instance = _generate(kind, 5, REFERENCE_VOLUME, params)
     rows = []
-    for volume in range(20, 201, 20):
-        conv, coded, _, _ = closed_form(kind, 5, float(volume), params)
-        instance = _generate(kind, 5, float(volume), params)
-        (oracle, _), (osh, _) = _evaluate(instance, ["oracle", "osh"], 8)
+    for volume, (oracle, osh) in _volume_reports(instance, volumes, ["oracle", "osh"], 8):
+        conv, coded, _, _ = closed_form(kind, 5, volume, params)
         rows.append([fmt(volume), fmt(conv), fmt(coded), fmt(oracle.p_total), fmt(osh.p_total)])
     return header, rows
 

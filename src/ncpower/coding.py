@@ -113,6 +113,37 @@ class SelectionResult:
     routing: tuple[PathPair, ...]
 
 
+def pair_benefit(instance: Instance, first: Demand, second: Demand, shared: frozenset[Link]) -> float:
+    """Watts saved by XOR-coding two demands on their ``shared`` links."""
+    return instance.power.slope_w_per_gbps * min(first.volume, second.volume) * len(shared)
+
+
+def rekey_selection(selection: SelectionResult, instance: Instance) -> SelectionResult:
+    """``selection`` moved onto ``instance``'s demands of the same endpoints.
+
+    Every ``PathPair`` keeps its node tuples and every ``CodedPair`` its
+    kinds and shared links; benefits are priced at the new volumes.  At
+    uniform positive volumes each demand weighs one volume unit, so a
+    selection made at one such volume is the one every other gets.  The
+    routing must list the demands in instance order, as every selector
+    returns it.
+    """
+    routing = tuple(
+        PathPair(d, pair.working, pair.protection)
+        for d, pair in zip(instance.demands, selection.routing, strict=True)
+    )
+    by_ends = {(d.source, d.dest): d for d in instance.demands}
+    pairs = []
+    for coded in selection.assignment.pairs:
+        first = by_ends[coded.first.source, coded.first.dest]
+        second = by_ends[coded.second.source, coded.second.dest]
+        benefit = pair_benefit(instance, first, second, coded.shared_links)
+        pairs.append(
+            CodedPair(first, second, coded.first_kind, coded.second_kind, coded.shared_links, benefit)
+        )
+    return SelectionResult(CodingAssignment(tuple(pairs)), routing)
+
+
 def _clusters(demands: Sequence[Demand]) -> dict[int, tuple[Demand, ...]]:
     """Demands grouped by destination, sources ascending."""
     by_dest: dict[int, list[Demand]] = {}
@@ -232,9 +263,7 @@ def _select(
             new_routing[d1] = first_pair = pools[d1][indices[combo[0]][p1]]
             new_routing[d2] = second_pair = pools[d2][indices[combo[1]][q]]
             shared = first_pair.path(combo[0]).link_set & second_pair.path(combo[1]).link_set
-            benefit = (
-                instance.power.slope_w_per_gbps * min(d1.volume, d2.volume) * len(shared)
-            )
+            benefit = pair_benefit(instance, d1, d2, shared)
             chosen.append(CodedPair(d1, d2, combo[0], combo[1], shared, benefit))
 
     final = tuple(new_routing[d] for d in instance.demands)

@@ -23,6 +23,7 @@ from .coding import (
     PathKind,
     _clusters,
     _volume_units,
+    pair_benefit,
 )
 from .errors import OracleGuardError
 from .matching import exhaustive_matching
@@ -144,13 +145,12 @@ def _search(
 
         if best_pick is not None:
             cand_idx, matching = best_pick
-            k = instance.power.slope_w_per_gbps
             for i, j in matching:
                 d1, d2 = demands[i], demands[j]
                 shared, combo, _ = values[(i, cand_idx[i], j, cand_idx[j])]
                 final_routing[d1] = cluster_pools[i][cand_idx[i]]
                 final_routing[d2] = cluster_pools[j][cand_idx[j]]
-                benefit = k * min(d1.volume, d2.volume) * len(shared)
+                benefit = pair_benefit(instance, d1, d2, shared)
                 chosen.append(CodedPair(d1, d2, combo[0], combo[1], shared, benefit))
 
     routing = tuple(final_routing[d] for d in instance.demands)

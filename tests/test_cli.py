@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from conftest import DATA_DIR, grid_topology
@@ -344,6 +345,8 @@ def test_non_finite_number_exit_3(args):
 @pytest.mark.parametrize("argv,routes", [
     (["sweep", "--gen", "ring:3:6", "--heuristic", "osh,ww,pp,conventional"], 4),
     (["repro", "ring-sizes"], 13),
+    (["repro", "mesh-volume"], 1),
+    (["repro", "ring-volume"], 1),
 ])
 def test_each_instance_is_routed_once(argv, routes, monkeypatch, capsys):
     real_route = cli.route_instance
@@ -357,6 +360,23 @@ def test_each_instance_is_routed_once(argv, routes, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
     assert len(calls) == routes
+
+
+@pytest.mark.parametrize("table", ["mesh-volume", "ring-volume"])
+def test_volume_table_selects_once(table, monkeypatch, capsys):
+    # the ten volumes of a table share one osh selection and one joint oracle
+    calls = Counter()
+    for name in ("select_pairs_osh", "optimal_joint"):
+        real = getattr(cli, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert cli.main(["repro", table]) == 0
+    assert capsys.readouterr().out.count("\n") == 11
+    assert calls == {"select_pairs_osh": 1, "optimal_joint": 1}
 
 
 def _grid_corners_file(tmp_path):
@@ -448,3 +468,67 @@ def test_closed_form_past_the_float_range(argv, closed, capsys):
 def test_sweep_past_the_float_range(spec, row, capsys):
     assert cli.main(["sweep", "--gen", spec]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == row
+
+
+def test_analyze_refuses_volume_with_sweep(monkeypatch, capsys):
+    # the sweep sets every volume, so a --volume beside it would be ignored
+    built = []
+    monkeypatch.setattr(cli, "generate_ring", lambda *args: built.append(args))
+    assert cli.main(["analyze", "--gen", "ring:5", "--volume", "50", "--sweep", "20:40:20"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--volume" in captured.err and "--sweep" in captured.err
+    assert built == []
+
+
+# together the rows of these sweeps are volumes 0, 0.1, 20, 33.5 and 1e308,
+# the last past the float range of the powers
+SWEEP_SPECS = ("0:20:20", "0.1:33.5:33.4", "1e308:1e308:1e308")
+ARBITRARY11 = str(DATA_DIR / "arbitrary11.net")
+# the mesh:7 oracle searches 2 candidates per demand: at the default 8 each
+# run takes seconds
+DIFFERENTIAL_CASES = [
+    ["--gen", "ring:7", "--heuristic", "oracle"],
+    ["--gen", "mesh:7", "--heuristic", "oracle", "--budget", "2"],
+] + [
+    [*source, "--heuristic", heuristic]
+    for heuristic in cli.HEURISTICS if heuristic != "oracle"
+    for source in (["--gen", "ring:12"], ["--gen", "mesh:9"], ["--instance", ARBITRARY11])
+]
+
+
+@pytest.mark.parametrize(
+    "flags", DIFFERENTIAL_CASES, ids=lambda flags: " ".join(flags).replace(ARBITRARY11, "arbitrary11.net")
+)
+def test_volume_sweep_equals_single_volume_runs(flags, tmp_path, capsys):
+    # one selection re-keyed to each volume prints what a fresh run prints
+    out = tmp_path / "out.csv"
+    volumes = []
+    for spec in SWEEP_SPECS:
+        assert cli.main(["analyze", *flags, "--sweep", spec, "--out", str(out)]) == 0
+        swept = out.read_text()
+        expected = ["volume_gbps,conventional_w,total_w,reduction_w,savings_pct"]
+        for row in swept.splitlines()[1:]:
+            volume = row.split(",", 1)[0]
+            assert cli.main(["analyze", *flags, "--volume", volume, "--out", str(out)]) == 0
+            expected.append(f"{volume},{out.read_text().splitlines()[1]}")
+            volumes.append(float(volume))
+        assert swept == "\n".join(expected) + "\n", spec
+    assert sorted(volumes) == [0, 0.1, 20, 33.5, 1e308]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags,code", [
+    (["--heuristic", "osh"], 4),
+    (["--gen", "ring:8", "--heuristic", "oracle"], 5),
+], ids=["cut-edge", "oracle-guard"])
+def test_zero_volume_sweep_fails_as_a_single_run(flags, code, tmp_path, capsys):
+    # a sweep still selects when every volume is 0, so it meets the errors
+    # a single run at volume 0 meets
+    if "--gen" not in flags:
+        bridged = tmp_path / "bridge.net"
+        bridged.write_text("nodes 4\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 2\ndemand 1 3 20\n")
+        flags = ["--instance", str(bridged), *flags]
+    for tail in (["--volume", "0"], ["--sweep", "0:0:1"]):
+        assert cli.main(["analyze", *flags, *tail]) == code, tail
+        assert capsys.readouterr().out == ""

@@ -18,12 +18,14 @@ from ncpower.coding import (
     CodingAssignment,
     PathKind,
     max_weight_pairs,
+    rekey_selection,
     select_pairs_fixed,
     select_pairs_osh,
 )
 from ncpower.errors import ContractError, FeasibilityError
 from ncpower.matching import exhaustive_matching, max_weight_matching
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
+from ncpower.oracle import optimal_joint
 from ncpower.power import eval_with_coding
 from ncpower.routing import disjoint_pair_candidates, route_instance
 
@@ -404,3 +406,33 @@ def test_selectors_equal_nested_loop_reference():
         for combo in KIND_COMBOS:
             _assert_equals_reference(inst, select_pairs_fixed(inst, routing, combo), own, (combo,))
     assert rerouted > 0
+
+
+def _selections(inst):
+    routing = route_instance(inst)
+    yield select_pairs_osh(inst, routing)
+    for combo in KIND_COMBOS:
+        yield select_pairs_fixed(inst, routing, combo)
+    if inst.topology.node_count <= 7:
+        joint = optimal_joint(inst)
+        yield coding.SelectionResult(joint.best_assignment, joint.best_routing)
+
+
+@pytest.mark.parametrize("make,n", [(generate_ring, 7), (generate_full_mesh, 6), (generate_ring, 11)])
+def test_rekeyed_selection_equals_a_fresh_one_at_every_positive_volume(make, n):
+    # one volume unit per demand at any uniform V > 0: the selection is the
+    # same, down to each benefit's float, whichever volume it was made at
+    made = list(_selections(make(n, 20.0)))
+    for volume in (0.1, 33.5, 20.0, 1e308):
+        inst = make(n, volume)
+        fresh = list(_selections(inst))
+        assert [rekey_selection(sel, inst) for sel in made] == fresh, volume
+        assert any(sel.assignment.pairs for sel in fresh)
+
+
+def test_rekey_refuses_a_routing_of_other_endpoints():
+    inst = generate_ring(5, 20.0)
+    sel = select_pairs_osh(inst, route_instance(inst))
+    shifted = Instance(inst.topology, inst.demands[1:] + inst.demands[:1])
+    with pytest.raises(ContractError, match="does not serve"):
+        rekey_selection(sel, shifted)
