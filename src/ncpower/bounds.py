@@ -127,11 +127,12 @@ def bound_nc(instance: Instance, assignment: CodingAssignment = EMPTY_ASSIGNMENT
     for d in instance.demands:
         count, hops = volumes.get(d.volume, (0, 0))
         volumes[d.volume] = (count + 1, hops + min_hops[d])
+    volume = {(d.source, d.dest): d.volume for d in instance.demands}
     cuts: dict[float, int] = {}
     for p in assignment.pairs:
-        v = min(p.first.volume, p.second.volume)
+        v = min(volume[p.first], volume[p.second])
         cuts[v] = cuts.get(v, 0) + p.shared_hops
-    shared_total = sum(assignment.shared_hops(d) for d in instance.demands)
+    shared_total = sum(assignment.shared_hops(ends) for ends in volume)
     return _bound_report(instance.power.slope_w_per_gbps, volumes, shared_total, cuts)
 
 

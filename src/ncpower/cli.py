@@ -19,7 +19,6 @@ from .coding import (
     COMBO_NAMES,
     EMPTY_ASSIGNMENT,
     SelectionResult,
-    rekey_selection,
     select_pairs_fixed,
     select_pairs_osh,
 )
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
 from .oracle import JOINT_NODE_GUARD, optimal_joint
-from .power import PowerParams, PowerReport, eval_with_coding
+from .power import PowerParams, PowerReport, eval_with_coding, pair_saving
 from .routing import PathPair, route_instance
 
 HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
@@ -41,9 +40,9 @@ HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 # analyze and sweep refuse a generated size
 EVAL_DEMAND_LIMIT = 20_000
 
-# every volume of an analyze --sweep re-keys and prices each demand, and every
-# size of a sweep is an instance to route and select; both refuse more than
-# this many points
+# every volume of an analyze --sweep prices the one selection over every
+# demand, and every size of a sweep is an instance to route and select; both
+# refuse more than this many points
 SWEEP_POINT_LIMIT = 10_000
 
 # the uniform volume at which a volume sweep selects once; any positive
@@ -163,21 +162,19 @@ def _volume_reports(
     At a uniform volume V > 0 every demand weighs one volume unit, so the
     routing, the candidate pools, the matchings and the oracle's search are
     the same for every such V.  The selections are made once, at
-    REFERENCE_VOLUME, and re-keyed to each volume's demands.  At V = 0 no
-    pair weighs anything, and a fresh run keeps the routing of
+    REFERENCE_VOLUME, and ``eval_with_coding`` prices them at each volume.
+    At V = 0 no pair weighs anything, and a fresh run keeps the routing of
     ``route_instance`` with no coded pair.
     """
     routing, selections = _selections(
         _with_volume(instance, REFERENCE_VOLUME), heuristics, budget
     )
-    uncoded = SelectionResult(EMPTY_ASSIGNMENT, routing)
     for volume in volumes:
         at = _with_volume(instance, volume)
         if volume:
-            chosen = [rekey_selection(s, at) for s in selections]
+            yield volume, [eval_with_coding(at, s.routing, s.assignment) for s in selections]
         else:
-            chosen = [rekey_selection(uncoded, at)] * len(selections)
-        yield volume, [eval_with_coding(at, s.routing, s.assignment) for s in chosen]
+            yield volume, [eval_with_coding(at, routing, EMPTY_ASSIGNMENT)] * len(selections)
 
 
 def _power_row(report: PowerReport) -> list[str]:
@@ -200,6 +197,12 @@ def _write_csv(path: str | None, header: list[str], rows: list[list[str]]):
 
 
 def _sweep_volumes(spec: str) -> list[float]:
+    """The volumes start, start + step, ... up to stop.
+
+    Each is exact on the decimals the three numbers print as, then rounded
+    once: 0.1:0.5:0.1 gives 0.3, no point passes stop, and a tiny volume
+    keeps its value.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise InstanceError("--sweep expects start:stop:step in Gbps")
@@ -211,16 +214,20 @@ def _sweep_volumes(spec: str) -> list[float]:
         raise InstanceError(f"--sweep {spec!r}: values must be finite")
     if step <= 0 or stop < start or start < 0:
         raise InstanceError("--sweep needs step > 0, stop >= start and start >= 0")
-    if (stop - start) / step + 1 > SWEEP_POINT_LIMIT:
+    from fractions import Fraction  # deferred: it adds to every CLI start-up
+
+    # repr is the shortest decimal that reads back as the same float
+    first, exact_step = Fraction(repr(start)), Fraction(repr(step))
+    count = int((Fraction(repr(stop)) - first) / exact_step) + 1
+    if count > SWEEP_POINT_LIMIT:
         raise InstanceError(f"--sweep {spec!r} spans more than {SWEEP_POINT_LIMIT} volumes")
     values = []
-    v = start
-    while v <= stop + 1e-9:
-        values.append(round(v, 9))
+    for i in range(count):
+        v = float(first + i * exact_step)
         if v + step == v:
-            # the step is below half the float spacing at v: v would never advance
+            # the step is below half the float spacing at v: points would coincide
             raise InstanceError(f"--sweep {spec!r}: step {step:g} is lost in volume {v:g}")
-        v += step
+        values.append(v)
     return values
 
 
@@ -241,10 +248,14 @@ def _print_report(instance: Instance, report: PowerReport, bounds: BoundReport, 
     )
     pairs = selection.assignment.pairs
     print(f"coded pairs: {len(pairs)}")
+    volume = {(d.source, d.dest): d.volume for d in instance.demands}
+    slope = instance.power.slope_w_per_gbps
     for pair in pairs:
+        saves = pair_saving(slope, volume[pair.first], volume[pair.second], pair.shared_hops)
+        first, second = "{}->{}".format(*pair.first), "{}->{}".format(*pair.second)
         print(
-            f"  {pair.first}({pair.first_kind.value}) + {pair.second}({pair.second_kind.value})"
-            f"  shared={pair.shared_hops}  saves={fmt(pair.benefit)} W"
+            f"  {first}({pair.first_kind.value}) + {second}({pair.second_kind.value})"
+            f"  shared={pair.shared_hops}  saves={fmt(saves)} W"
         )
 
 

@@ -21,6 +21,11 @@ links, so a candidate path is an ``int`` and two paths share
 ``(m1 & m2).bit_count()`` links; a demand scores the masks of every later
 demand of its cluster as one row.  The masks live only while their cluster is
 scored.
+
+A selection carries no volume: coded pairs name their demands by
+(source, dest), and path pairs have no demand.  At any uniform V > 0 every
+demand weighs one unit, so the selection made at one such V holds at all of
+them, and ``power.eval_with_coding`` prices it at each.
 """
 from __future__ import annotations
 
@@ -47,24 +52,23 @@ COMBO_NAMES = {"ww": (_W, _W), "wp": (_W, _P), "pw": (_P, _W), "pp": (_P, _P)}
 class CodedPair:
     """One encoded demand pair: which path of each is XORed, and where."""
 
-    first: Demand
-    second: Demand
+    first: tuple[int, int]  # (source, dest), the lower source
+    second: tuple[int, int]
     first_kind: PathKind
     second_kind: PathKind
     shared_links: frozenset[Link]
-    benefit: float  # watts saved
 
     def __post_init__(self):
-        if self.first.dest != self.second.dest:
+        if self.first[1] != self.second[1]:
             raise FeasibilityError(
-                f"cannot encode {self.first} with {self.second}: destinations differ"
+                "cannot encode {}->{} with {}->{}: destinations differ".format(
+                    *self.first, *self.second
+                )
             )
-        if self.first.source >= self.second.source:
+        if self.first[0] >= self.second[0]:
             raise ContractError("coded pair must be ordered by source id")
         if not self.shared_links:
             raise ContractError("coded pair without shared links")
-        if self.benefit < 0:
-            raise ContractError("negative benefit")
 
     @property
     def shared_hops(self) -> int:
@@ -78,28 +82,24 @@ class CodingAssignment:
     pairs: tuple[CodedPair, ...]
 
     def __post_init__(self):
-        seen: set[Demand] = set()
+        seen: set[tuple[int, int]] = set()
         for pair in self.pairs:
-            for d in (pair.first, pair.second):
-                if d in seen:
-                    raise ContractError(f"demand {d} appears in two coded pairs")
-                seen.add(d)
+            for ends in (pair.first, pair.second):
+                if ends in seen:
+                    raise ContractError("demand {}->{} appears in two coded pairs".format(*ends))
+                seen.add(ends)
 
     @cached_property
-    def _shared_by_demand(self) -> dict[Demand, int]:
-        table: dict[Demand, int] = {}
+    def _shared_by_ends(self) -> dict[tuple[int, int], int]:
+        table: dict[tuple[int, int], int] = {}
         for pair in self.pairs:
             table[pair.first] = pair.shared_hops
             table[pair.second] = pair.shared_hops
         return table
 
-    def shared_hops(self, demand: Demand) -> int:
-        """Shared hop count of the demand's coded pair; 0 when unpaired."""
-        return self._shared_by_demand.get(demand, 0)
-
-    @property
-    def total_benefit(self) -> float:
-        return sum(p.benefit for p in self.pairs)
+    def shared_hops(self, ends: tuple[int, int]) -> int:
+        """Shared hop count of the coded pair of the demand ``ends``; 0 when unpaired."""
+        return self._shared_by_ends.get(ends, 0)
 
 
 EMPTY_ASSIGNMENT = CodingAssignment(())
@@ -107,41 +107,13 @@ EMPTY_ASSIGNMENT = CodingAssignment(())
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """A coding assignment plus the routing it is valid against."""
+    """A coding assignment plus the routing it is valid against.
+
+    Neither holds a volume; ``power.eval_with_coding`` prices them at any.
+    """
 
     assignment: CodingAssignment
     routing: tuple[PathPair, ...]
-
-
-def pair_benefit(instance: Instance, first: Demand, second: Demand, shared: frozenset[Link]) -> float:
-    """Watts saved by XOR-coding two demands on their ``shared`` links."""
-    return instance.power.slope_w_per_gbps * min(first.volume, second.volume) * len(shared)
-
-
-def rekey_selection(selection: SelectionResult, instance: Instance) -> SelectionResult:
-    """``selection`` moved onto ``instance``'s demands of the same endpoints.
-
-    Every ``PathPair`` keeps its node tuples and every ``CodedPair`` its
-    kinds and shared links; benefits are priced at the new volumes.  At
-    uniform positive volumes each demand weighs one volume unit, so a
-    selection made at one such volume is the one every other gets.  The
-    routing must list the demands in instance order, as every selector
-    returns it.
-    """
-    routing = tuple(
-        PathPair(d, pair.working, pair.protection)
-        for d, pair in zip(instance.demands, selection.routing, strict=True)
-    )
-    by_ends = {(d.source, d.dest): d for d in instance.demands}
-    pairs = []
-    for coded in selection.assignment.pairs:
-        first = by_ends[coded.first.source, coded.first.dest]
-        second = by_ends[coded.second.source, coded.second.dest]
-        benefit = pair_benefit(instance, first, second, coded.shared_links)
-        pairs.append(
-            CodedPair(first, second, coded.first_kind, coded.second_kind, coded.shared_links, benefit)
-        )
-    return SelectionResult(CodingAssignment(tuple(pairs)), routing)
 
 
 def _clusters(demands: Sequence[Demand]) -> dict[int, tuple[Demand, ...]]:
@@ -263,8 +235,7 @@ def _select(
             new_routing[d1] = first_pair = pools[d1][indices[combo[0]][p1]]
             new_routing[d2] = second_pair = pools[d2][indices[combo[1]][q]]
             shared = first_pair.path(combo[0]).link_set & second_pair.path(combo[1]).link_set
-            benefit = pair_benefit(instance, d1, d2, shared)
-            chosen.append(CodedPair(d1, d2, combo[0], combo[1], shared, benefit))
+            chosen.append(CodedPair(first_pair.ends, second_pair.ends, combo[0], combo[1], shared))
 
     final = tuple(new_routing[d] for d in instance.demands)
     return SelectionResult(CodingAssignment(tuple(chosen)), final)

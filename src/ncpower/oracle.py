@@ -23,7 +23,6 @@ from .coding import (
     PathKind,
     _clusters,
     _volume_units,
-    pair_benefit,
 )
 from .errors import OracleGuardError
 from .matching import exhaustive_matching
@@ -148,10 +147,9 @@ def _search(
             for i, j in matching:
                 d1, d2 = demands[i], demands[j]
                 shared, combo, _ = values[(i, cand_idx[i], j, cand_idx[j])]
-                final_routing[d1] = cluster_pools[i][cand_idx[i]]
-                final_routing[d2] = cluster_pools[j][cand_idx[j]]
-                benefit = pair_benefit(instance, d1, d2, shared)
-                chosen.append(CodedPair(d1, d2, combo[0], combo[1], shared, benefit))
+                final_routing[d1] = first = cluster_pools[i][cand_idx[i]]
+                final_routing[d2] = second = cluster_pools[j][cand_idx[j]]
+                chosen.append(CodedPair(first.ends, second.ends, combo[0], combo[1], shared))
 
     routing = tuple(final_routing[d] for d in instance.demands)
     assignment = CodingAssignment(tuple(chosen))

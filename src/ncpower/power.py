@@ -66,6 +66,11 @@ def _conventional(instance: Instance, by_demand: dict[Demand, PathPair]) -> floa
     return k * sum(d.volume * by_demand[d].total_hops for d in instance.demands)
 
 
+def pair_saving(slope: float, volume1: float, volume2: float, shared_hops: int) -> float:
+    """Watts one coded pair saves: min(V1, V2) Gbps less on each shared link."""
+    return slope * min(volume1, volume2) * shared_hops
+
+
 def eval_with_coding(
     instance: Instance,
     routing: Iterable[PathPair],
@@ -74,34 +79,32 @@ def eval_with_coding(
     """Power after XOR-coding the assigned pairs on their shared links.
 
     Each coded pair removes min(V1, V2) Gbps from every link its two encoded
-    paths share, because the XOR stream replaces the smaller flow there.  The
-    assignment must be consistent with ``routing``: shared links must actually
-    lie on the recorded paths and benefits must match the power parameters.
+    paths share, because the XOR stream replaces the smaller flow there.
+    Routing and assignment carry no volume: both name demands by endpoints,
+    and the volumes are those of ``instance``'s demands, so one selection is
+    priced here at any volume.  The assignment must be consistent with
+    ``routing``: shared links must actually lie on the recorded paths.
     """
     from .routing import index_routing
 
     by_demand = index_routing(instance, routing)
     k = instance.power.slope_w_per_gbps
     p1 = _conventional(instance, by_demand)
+    by_ends = {(d.source, d.dest): d for d in instance.demands}
 
     reduction = 0.0
     for coded in assignment.pairs:
-        for demand, kind in ((coded.first, coded.first_kind), (coded.second, coded.second_kind)):
-            if demand not in by_demand:
-                raise ContractError(f"coded pair references unrouted demand {demand}")
-            path = by_demand[demand].path(kind)
-            if not coded.shared_links <= path.link_set:
+        for ends, kind in ((coded.first, coded.first_kind), (coded.second, coded.second_kind)):
+            demand = by_ends.get(ends)
+            if demand is None:
+                raise ContractError("coded pair references unrouted demand {}->{}".format(*ends))
+            if not coded.shared_links <= by_demand[demand].path(kind).link_set:
                 raise ContractError(
                     f"shared links {sorted(coded.shared_links)} not on the "
                     f"{kind.value} path of {demand}"
                 )
-        expected = k * min(coded.first.volume, coded.second.volume) * len(coded.shared_links)
-        # isclose, unlike a difference, tells an infinite benefit from a finite one
-        if not math.isclose(coded.benefit, expected, rel_tol=1e-9, abs_tol=1e-9):
-            raise ContractError(
-                f"pair benefit {coded.benefit} inconsistent with power model ({expected})"
-            )
-        reduction += coded.benefit
+        first, second = by_ends[coded.first], by_ends[coded.second]
+        reduction += pair_saving(k, first.volume, second.volume, coded.shared_hops)
 
     total = p1 - reduction
     savings = reduction / p1 if p1 > 0 else 0.0
@@ -112,7 +115,7 @@ def eval_with_coding(
 
         hops = sum(Fraction(d.volume) * by_demand[d].total_hops for d in instance.demands)
         cut = sum(
-            Fraction(min(c.first.volume, c.second.volume)) * len(c.shared_links)
+            Fraction(min(by_ends[c.first].volume, by_ends[c.second].volume)) * c.shared_hops
             for c in assignment.pairs
         )
         try:

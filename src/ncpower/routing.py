@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, RoutingError, SurvivabilityError
-from .model import Demand, Edge, Instance, Link, Topology, _bfs_dist, undirected
+from .model import Demand, Instance, Link, Topology, _bfs_dist, undirected
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,10 +54,6 @@ class Path:
     def link_set(self) -> frozenset[Link]:
         return frozenset(zip(self.nodes, self.nodes[1:]))
 
-    @property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(undirected(l) for l in self.links)
-
     def __str__(self) -> str:
         return "-".join(map(str, self.nodes))
 
@@ -69,23 +65,28 @@ class PathKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class PathPair:
-    """Working and protection path of one demand; disjoint in the fibre view."""
+    """Working and protection path of one (source, dest); disjoint in the fibre view."""
 
-    demand: Demand
     working: Path
     protection: Path
 
     def __post_init__(self):
-        for path in (self.working, self.protection):
-            if path.nodes[0] != self.demand.source or path.nodes[-1] != self.demand.dest:
-                raise ContractError(f"path {path} does not serve demand {self.demand}")
         w, p = self.working.nodes, self.protection.nodes
+        if (w[0], w[-1]) != (p[0], p[-1]):
+            raise ContractError(
+                f"paths {self.working} and {self.protection} do not share their endpoints"
+            )
         fibres = set(zip(w, w[1:]))
         fibres.update(zip(w[1:], w))
         if not fibres.isdisjoint(zip(p, p[1:])):
-            raise ContractError(f"paths of {self.demand} share a fibre")
+            raise ContractError(f"paths {self.working} and {self.protection} share a fibre")
         if self.working.hop_count > self.protection.hop_count:
             raise ContractError("working path must not be longer than protection")
+
+    @property
+    def ends(self) -> tuple[int, int]:
+        """(source, dest) of both paths."""
+        return self.working.nodes[0], self.working.nodes[-1]
 
     @property
     def total_hops(self) -> int:
@@ -120,7 +121,7 @@ class _PairWalk:
     """The candidate walk of one ordered (s, t), as far as it has gone.
 
     ``total`` is the minimum disjoint-pair total, ``pairs`` the optimal
-    (working, protection) pairs found so far in lex order, and ``done`` says
+    pairs found so far in lex order, and ``done`` says
     the walk has run out.  The last pair alone marks where the walk stopped,
     so no generator or reduced adjacency is kept between calls.  ``more``
     says whether the last working path W* has a protection after the last
@@ -128,7 +129,7 @@ class _PairWalk:
     """
 
     total: int
-    pairs: list[tuple[Path, Path]] = field(default_factory=list)
+    pairs: list[PathPair] = field(default_factory=list)
     done: bool = False
     more: bool = False
 
@@ -273,13 +274,13 @@ def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int
             if len(pairs) == k:
                 walk.more = True
                 return True
-            pairs.append((Path(working), Path(protection)))
+            pairs.append(PathPair(Path(working), Path(protection)))
         walk.more = False
         return len(pairs) == k
 
     last_working = None
     if pairs:
-        last_working, last_protection = (path.nodes for path in pairs[-1])
+        last_working, last_protection = pairs[-1].working.nodes, pairs[-1].protection.nodes
         if walk.more and pair_with(last_working, last_protection):
             return
     for working in _simple_paths_upto(
@@ -319,10 +320,10 @@ def disjoint_pair_candidates(topology: Topology, demand: Demand, k: int = 8) -> 
     out, reads them; a call for more resumes the walk after the last pair.
     Both loops yield in strict lex order, so the walk resumed after
     (W*, P*) meets exactly the pairs a fresh walk meets after it, and the
-    first k pairs are the same whatever budgets came before.  Each call
-    returns fresh ``PathPair``s in a fresh list, which the caller may
-    extend.  A pair that does not exist raises on every call; errors are
-    not kept.
+    first k pairs are the same whatever budgets came before.  The pairs
+    carry no volume, so every call shares the walk's ``PathPair``s; each
+    returns them in a fresh list, which the caller may extend.  A pair that
+    does not exist raises on every call; errors are not kept.
     """
     if k < 1:
         raise ContractError("candidate budget must be at least 1")
@@ -333,7 +334,7 @@ def disjoint_pair_candidates(topology: Topology, demand: Demand, k: int = 8) -> 
         walk = walks[(s, t)] = _PairWalk(_suurballe_total(topology, s, t))
     if len(walk.pairs) < k and not walk.done:
         _walk_on(topology, walk, s, t, k)
-    return [PathPair(demand, working, protection) for working, protection in walk.pairs[:k]]
+    return walk.pairs[:k]
 
 
 def suurballe_pair(topology: Topology, demand: Demand) -> PathPair:
@@ -347,16 +348,22 @@ def route_instance(instance: Instance) -> tuple[PathPair, ...]:
 
 
 def index_routing(instance: Instance, routing: Iterable[PathPair]) -> dict[Demand, PathPair]:
-    """Map each instance demand to its routed pair; reject gaps and duplicates."""
-    by_demand: dict[Demand, PathPair] = {}
+    """Map each instance demand to the routed pair of its endpoints.
+
+    Rejects a demand routed twice, a demand with no routing and a pair that
+    serves no demand.
+    """
+    by_ends: dict[tuple[int, int], PathPair] = {}
     for pair in routing:
-        if pair.demand in by_demand:
-            raise ContractError(f"demand {pair.demand} routed twice")
-        by_demand[pair.demand] = pair
+        ends = pair.ends
+        if ends in by_ends:
+            raise ContractError("demand {}->{} routed twice".format(*ends))
+        by_ends[ends] = pair
+    by_demand: dict[Demand, PathPair] = {}
     for d in instance.demands:
-        if d not in by_demand:
+        pair = by_demand[d] = by_ends.pop((d.source, d.dest), None)
+        if pair is None:
             raise ContractError(f"demand {d} has no routing")
-    if len(by_demand) != len(instance.demands):
-        stranger = next(d for d in by_demand if d not in set(instance.demands))
-        raise ContractError(f"routing covers unknown demand {stranger}")
+    if by_ends:  # what is left serves no demand
+        raise ContractError("routing covers unknown demand {}->{}".format(*next(iter(by_ends))))
     return by_demand

@@ -95,10 +95,11 @@ def exact_bounds(instance: Instance, assignment) -> dict[str, float]:
         v = Fraction(d.volume)
         volume_hops += v * hops
         volume += v
-        quarter_characteristic += 4 * hops - assignment.shared_hops(d)
+        quarter_characteristic += 4 * hops - assignment.shared_hops((d.source, d.dest))
+    volumes = {(d.source, d.dest): d.volume for d in instance.demands}
     cut = Fraction(0)
     for pair in assignment.pairs:
-        cut += Fraction(min(pair.first.volume, pair.second.volume)) * pair.shared_hops
+        cut += Fraction(min(volumes[pair.first], volumes[pair.second])) * pair.shared_hops
     count = len(instance.demands)
     characteristic = Fraction(quarter_characteristic, 4)
     return {
@@ -120,8 +121,9 @@ def reference_selection(instance: Instance, pools: dict, combos) -> tuple[list[t
     pool order, wins; a pool's repeated link sets count once, at their first
     index) times the smaller volume in exact integer units, and networkx
     matches each cluster.  Returns the coded pairs as (first, second,
-    first_kind, second_kind, shared_links, benefit), and the routing in
-    instance order, where unmatched demands keep the head of their pool.
+    first_kind, second_kind, shared_links), each demand named by its
+    (source, dest), and the routing in instance order, where unmatched
+    demands keep the head of their pool.
     """
     volumes = {d: Fraction(d.volume) for d in instance.demands}
     den = math.lcm(*(v.denominator for v in volumes.values()))
@@ -158,8 +160,7 @@ def reference_selection(instance: Instance, pools: dict, combos) -> tuple[list[t
             d1, d2 = demands[i], demands[j]
             idx1, idx2, combo, shared = picks[(i, j)]
             routing[d1], routing[d2] = pools[d1][idx1], pools[d2][idx2]
-            benefit = instance.power.slope_w_per_gbps * min(d1.volume, d2.volume) * len(shared)
-            chosen.append((d1, d2, combo[0], combo[1], shared, benefit))
+            chosen.append(((d1.source, d1.dest), (d2.source, d2.dest), combo[0], combo[1], shared))
     return chosen, [routing[d] for d in instance.demands]
 
 

@@ -181,8 +181,8 @@ def test_acceptance_5_oracle_agreement(capsys, random_instances):
         routing = route_instance(inst)
         sel = select_pairs_osh(inst, routing)
         oracle = optimal_matching(inst, routing, combos=KIND_COMBOS)
-        best = oracle.best_assignment.total_benefit
-        ours = sel.assignment.total_benefit
+        best = eval_with_coding(inst, oracle.best_routing, oracle.best_assignment).p_reduction
+        ours = eval_with_coding(inst, sel.routing, sel.assignment).p_reduction
         gap = 0.0 if best == 0 else max(0.0, 1 - ours / best)
         gaps.append(gap)
         if ours < 0.95 * best - 1e-9:
@@ -211,9 +211,9 @@ def test_acceptance_6_bound_validity(capsys, random_instances_uniform):
             violations.append(f"#{idx} mean-form bound")
         if conventional < bound_conventional(inst) - tol:
             violations.append(f"#{idx} conventional bound")
-        for pair in sel.routing:
-            if pair.total_hops < 2 * min_hops[pair.demand]:
-                violations.append(f"#{idx} hop floor {pair.demand}")
+        for d, pair in zip(inst.demands, sel.routing):
+            if pair.total_hops < 2 * min_hops[d]:
+                violations.append(f"#{idx} hop floor {d}")
     verdict(capsys, 6, "bound validity",
             not violations, f"{len(violations)} violations")
     assert not violations, violations

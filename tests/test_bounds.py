@@ -59,8 +59,11 @@ def test_mesh5_bounds_under_optimal_assignment():
     assert report.nc_lower_mean_form == pytest.approx(16095.0, abs=1e-9)
     min_hops = min_hop_table(inst)
     assert all(min_hops[d] == 1 for d in inst.demands)
-    assert all(sel.assignment.shared_hops(d) == 1 for d in inst.demands)
-    assert all(min_hops[d] - sel.assignment.shared_hops(d) / 4 == 0.75 for d in inst.demands)
+    ends = [(d.source, d.dest) for d in inst.demands]
+    assert all(sel.assignment.shared_hops(e) == 1 for e in ends)
+    assert all(
+        min_hops[d] - sel.assignment.shared_hops(e) / 4 == 0.75 for d, e in zip(inst.demands, ends)
+    )
     assert report.volume_avg == 20.0
     assert report.characteristic_avg == 0.75
 
@@ -70,7 +73,7 @@ def test_bounds_with_empty_assignment_collapse_to_conventional():
     report = bound_nc(inst, EMPTY_ASSIGNMENT)
     assert report.nc_lower_per_demand == report.conventional_lower
     assert report.nc_lower_mean_form == pytest.approx(report.conventional_lower, rel=1e-12)
-    assert all(EMPTY_ASSIGNMENT.shared_hops(d) == 0 for d in inst.demands)
+    assert all(EMPTY_ASSIGNMENT.shared_hops((d.source, d.dest)) == 0 for d in inst.demands)
 
 
 def test_mesh_closed_forms():
@@ -158,8 +161,8 @@ def test_min_hop_pair_floor():
     rng = random.Random(22)
     inst = random_survivable_instance(rng, volume=20.0)
     min_hops = min_hop_table(inst)
-    for pair in route_instance(inst):
-        assert pair.total_hops >= 2 * min_hops[pair.demand]
+    for d, pair in zip(inst.demands, route_instance(inst)):
+        assert pair.total_hops >= 2 * min_hops[d]
 
 
 UNIFORM_VOLUMES = (0.0, 0.001, 0.1, 1 / 3, 20.0, 33.5, 1e6)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import random_survivable_instance
@@ -10,11 +11,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncpower.bounds import ring_savings_fraction
-from ncpower.coding import EMPTY_ASSIGNMENT, KIND_COMBOS, select_pairs_fixed, select_pairs_osh
+from ncpower.coding import (
+    EMPTY_ASSIGNMENT,
+    KIND_COMBOS,
+    CodingAssignment,
+    PathKind,
+    select_pairs_fixed,
+    select_pairs_osh,
+)
 from ncpower.errors import ContractError, DomainError
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring
 from ncpower.power import PowerParams, eval_conventional, eval_with_coding
 from ncpower.routing import route_instance
+
+W, P = PathKind.WORKING, PathKind.PROTECTION
 
 
 def test_default_slope():
@@ -124,17 +134,40 @@ def test_eval_rejects_assignment_off_routing():
         eval_with_coding(inst, routing, sel.assignment)
 
 
-def test_eval_rejects_tampered_benefit():
-    from dataclasses import replace
+CONTRACT_ERRORS = {
+    "gap": "demand 5->4 has no routing",
+    "duplicate": "demand 1->2 routed twice",
+    "serves-no-demand": "routing covers unknown demand",
+    "shifted-demands": "demand 1->2 has no routing",
+    "coded-unrouted": "coded pair references unrouted demand",
+    "shared-off-path": "not on the",
+}
 
-    inst = generate_full_mesh(5, 20.0)
+
+@pytest.mark.parametrize("case", CONTRACT_ERRORS)
+def test_routing_and_assignment_contract(case):
+    # routings and coded pairs name demands by endpoints only, so every
+    # mismatch with the instance's demands must surface as a ContractError
+    inst = generate_ring(5, 20.0)
     sel = select_pairs_osh(inst, route_instance(inst))
-    pairs = sel.assignment.pairs
-    bad = replace(pairs[0], benefit=pairs[0].benefit * 2)
-    from ncpower.coding import CodingAssignment
-
-    with pytest.raises(ContractError, match="inconsistent"):
-        eval_with_coding(inst, sel.routing, CodingAssignment((bad,) + pairs[1:]))
+    routing, pairs = sel.routing, sel.assignment.pairs
+    paired = pairs[0].second
+    unpaired = Instance(
+        inst.topology, tuple(d for d in inst.demands if (d.source, d.dest) != paired)
+    )
+    flipped = replace(pairs[0], first_kind=P if pairs[0].first_kind is W else W)
+    args = {
+        "gap": (inst, routing[:-1], sel.assignment),
+        "duplicate": (inst, routing + routing[:1], sel.assignment),
+        "serves-no-demand": (unpaired, routing, EMPTY_ASSIGNMENT),
+        "shifted-demands": (
+            Instance(inst.topology, inst.demands[:-1]), routing[1:], EMPTY_ASSIGNMENT
+        ),
+        "coded-unrouted": (unpaired, tuple(p for p in routing if p.ends != paired), sel.assignment),
+        "shared-off-path": (inst, routing, CodingAssignment((flipped,) + pairs[1:])),
+    }[case]
+    with pytest.raises(ContractError, match=CONTRACT_ERRORS[case]):
+        eval_with_coding(*args)
 
 
 def test_power_past_the_float_range_is_not_nan():
@@ -148,15 +181,7 @@ def test_power_past_the_float_range_is_not_nan():
         assert report.savings_fraction == ring_savings_fraction(6)
 
 
-def test_eval_rejects_finite_benefit_claimed_for_infinite_saving():
-    from dataclasses import replace
-
-    from ncpower.coding import CodingAssignment
-
+def test_saving_past_the_float_range_is_inf():
     inst = generate_ring(6, 1e308)
     sel = select_pairs_osh(inst, route_instance(inst))
-    pairs = sel.assignment.pairs
-    assert pairs[0].benefit == math.inf
-    bad = replace(pairs[0], benefit=1.0)
-    with pytest.raises(ContractError, match="inconsistent"):
-        eval_with_coding(inst, sel.routing, CodingAssignment((bad,) + pairs[1:]))
+    assert eval_with_coding(inst, sel.routing, sel.assignment).p_reduction == math.inf

@@ -21,7 +21,14 @@ from ncpower import bounds, cli, model, routing
 from ncpower.bounds import bound_nc
 from ncpower.coding import select_pairs_osh
 from ncpower.errors import ContractError, RoutingError, SurvivabilityError
-from ncpower.model import Demand, Topology, generate_full_mesh, generate_ring, load_instance
+from ncpower.model import (
+    Demand,
+    Topology,
+    generate_full_mesh,
+    generate_ring,
+    load_instance,
+    undirected,
+)
 from ncpower.routing import (
     Path,
     PathPair,
@@ -41,18 +48,18 @@ def test_path_validation():
         Path((1, 2, 1))
     assert Path((1, 2, 3)).hop_count == 2
     assert Path((1, 2, 3)).link_set == {(1, 2), (2, 3)}
-    assert Path((1, 2, 3)).edge_set == {(1, 2), (2, 3)}
+    assert {undirected(l) for l in Path((1, 2, 3)).links} == {(1, 2), (2, 3)}
     assert str(Path((1, 2, 3))) == "1-2-3"
 
 
 def test_pathpair_validation():
-    d = Demand(1, 3, 5.0)
     with pytest.raises(ContractError, match="share a fibre"):
-        PathPair(d, Path((1, 3)), Path((1, 3)))
-    with pytest.raises(ContractError, match="does not serve"):
-        PathPair(d, Path((1, 2)), Path((1, 3)))
+        PathPair(Path((1, 3)), Path((1, 3)))
+    with pytest.raises(ContractError, match="share their endpoints"):
+        PathPair(Path((1, 2)), Path((1, 3)))
     with pytest.raises(ContractError, match="not be longer"):
-        PathPair(d, Path((1, 2, 3)), Path((1, 3)))
+        PathPair(Path((1, 2, 3)), Path((1, 3)))
+    assert PathPair(Path((1, 3)), Path((1, 2, 3))).ends == (1, 3)
 
 
 def test_shortest_path_prefers_lexicographic():
@@ -294,7 +301,8 @@ def test_min_hop_floor_holds_per_demand():
             pair = suurballe_pair(inst.topology, d)
             assert pair.working.hop_count >= h_min
             assert pair.total_hops >= 2 * h_min
-            assert not pair.working.edge_set & pair.protection.edge_set
+            fibres = {undirected(l) for l in pair.working.links}
+            assert fibres.isdisjoint(undirected(l) for l in pair.protection.links)
 
 
 def test_one_full_graph_bfs_per_node(monkeypatch):
