@@ -39,6 +39,7 @@ from .errors import (
 from .model import (
     Demand,
     Instance,
+    PowerParams,
     Topology,
     generate_full_mesh,
     generate_ring,
@@ -46,7 +47,7 @@ from .model import (
     serialize_instance,
 )
 from .oracle import OracleResult, optimal_joint, optimal_matching
-from .power import PowerParams, PowerReport, eval_conventional, eval_with_coding
+from .power import PowerReport, eval_conventional, eval_with_coding
 from .routing import (
     Path,
     PathKind,

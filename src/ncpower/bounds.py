@@ -31,8 +31,7 @@ from typing import Iterable
 
 from .coding import CodingAssignment, EMPTY_ASSIGNMENT
 from .errors import DomainError, RoutingError
-from .model import Demand, Instance
-from .power import PowerParams
+from .model import Demand, Instance, PowerParams
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def bound_nc(instance: Instance, assignment: CodingAssignment = EMPTY_ASSIGNMENT
 
 
 def uniform_bound(
-    kind: str, n: int, volume: float, params: PowerParams | None = None
+    kind: str, n: int, volume: float, params: PowerParams = PowerParams()
 ) -> BoundReport:
     """``bound_nc`` of the generated uniform mesh or ring, with no pairing.
 
@@ -150,8 +149,7 @@ def uniform_bound(
         raise DomainError(f"volume {volume} must be finite and non-negative")
     count = n * (n - 1)
     hops = n * (n * n // 4) if kind == "ring" else count
-    slope = (params or PowerParams()).slope_w_per_gbps
-    return _bound_report(slope, {volume: (count, hops)}, 0, {})
+    return _bound_report(params.slope_w_per_gbps, {volume: (count, hops)}, 0, {})
 
 
 # -- full mesh ---------------------------------------------------------------
@@ -167,7 +165,7 @@ def mesh_savings_fraction(n: int) -> float:
     return 1 / 6 if n % 2 else (n - 2) / (6 * (n - 1))
 
 
-def mesh_power(n: int, volume: float, params: PowerParams | None = None) -> tuple[float, float, float]:
+def mesh_power(n: int, volume: float, params: PowerParams = PowerParams()) -> tuple[float, float, float]:
     """(conventional, coded, savings_fraction) for a uniform full mesh.
 
     Every demand routes over 1 + 2 hops; coding pairs off the two-hop
@@ -175,7 +173,6 @@ def mesh_power(n: int, volume: float, params: PowerParams | None = None) -> tupl
     one shared hop per pair.
     """
     _require_size(n)
-    params = params or PowerParams()
     conventional = 3 * params.slope_w_per_gbps * volume * n * (n - 1)
     savings = mesh_savings_fraction(n)
     return conventional, conventional * (1 - savings), savings
@@ -232,9 +229,8 @@ def ring_savings_fraction(n: int) -> float:
     return ring_shared_hops(n) / ring_conventional_hops(n)
 
 
-def ring_power(n: int, volume: float, params: PowerParams | None = None) -> tuple[float, float, float]:
+def ring_power(n: int, volume: float, params: PowerParams = PowerParams()) -> tuple[float, float, float]:
     """(conventional, coded, savings_fraction) for a uniform ring."""
-    params = params or PowerParams()
     k = params.slope_w_per_gbps
     hops = ring_conventional_hops(n)
     shared = ring_shared_hops(n)
@@ -243,7 +239,7 @@ def ring_power(n: int, volume: float, params: PowerParams | None = None) -> tupl
 
 
 def closed_form(
-    kind: str, n: int, volume: float, params: PowerParams | None = None
+    kind: str, n: int, volume: float, params: PowerParams = PowerParams()
 ) -> tuple[float, float, float, str]:
     """(conventional, coded, savings_fraction, size class) of a uniform mesh or ring.
 
@@ -261,5 +257,5 @@ def closed_form(
         return (*power(n, volume, params), label)
     except OverflowError:
         # a hop count too large to convert to a float
-        watts = math.inf if volume * (params or PowerParams()).slope_w_per_gbps else 0.0
+        watts = math.inf if volume * params.slope_w_per_gbps else 0.0
         return watts, watts, savings(n), label

@@ -28,10 +28,10 @@ from .errors import (
     OracleGuardError,
     SurvivabilityError,
 )
-from .model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
+from .model import Demand, Instance, PowerParams, generate_full_mesh, generate_ring, load_instance
 from .oracle import JOINT_NODE_GUARD, optimal_joint
-from .power import PowerParams, PowerReport, eval_with_coding, pair_saving
-from .routing import PathPair, route_instance
+from .power import PowerReport, eval_with_coding, pair_saving
+from .routing import route_instance
 
 HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 
@@ -55,6 +55,12 @@ POWER_HEADER = ["conventional_w", "total_w", "reduction_w", "savings_pct"]
 def fmt(value: float) -> str:
     """Six significant digits, the precision used in every table we emit."""
     return f"{value:.6g}"
+
+
+def _volume_label(volume: float) -> str:
+    """``fmt(volume)`` when it reads back as ``volume``, else the exact ``repr``."""
+    label = fmt(volume)
+    return label if float(label) == volume else repr(volume)
 
 
 def _parse_gen(spec: str) -> tuple[str, int]:
@@ -123,12 +129,10 @@ def _build_instance(args, volume: float | None) -> Instance:
     return _load_file(args.instance, volume, args.power)
 
 
-def _selections(
-    instance: Instance, heuristics: Sequence[str], budget: int
-) -> tuple[tuple[PathPair, ...], list[SelectionResult]]:
+def _selections(instance: Instance, heuristics: Sequence[str], budget: int) -> list[SelectionResult]:
     """Route the instance once, then run each heuristic's selection in order.
 
-    Returns the routing and the selections; nothing is priced here.
+    Nothing is priced here.
     """
     routing = route_instance(instance)
     selections = []
@@ -143,14 +147,14 @@ def _selections(
         else:
             selection = select_pairs_fixed(instance, routing, COMBO_NAMES[name])
         selections.append(selection)
-    return routing, selections
+    return selections
 
 
 def _evaluate(
     instance: Instance, heuristics: Sequence[str], budget: int
 ) -> list[tuple[PowerReport, SelectionResult]]:
     """Each heuristic's selection on the instance, priced at its volumes."""
-    _, selections = _selections(instance, heuristics, budget)
+    selections = _selections(instance, heuristics, budget)
     return [(eval_with_coding(instance, s.routing, s.assignment), s) for s in selections]
 
 
@@ -163,18 +167,13 @@ def _volume_reports(
     routing, the candidate pools, the matchings and the oracle's search are
     the same for every such V.  The selections are made once, at
     REFERENCE_VOLUME, and ``eval_with_coding`` prices them at each volume.
-    At V = 0 no pair weighs anything, and a fresh run keeps the routing of
-    ``route_instance`` with no coded pair.
+    At V = 0 every demand and every coded pair prices to 0 W, as in a fresh
+    run at that volume.
     """
-    routing, selections = _selections(
-        _with_volume(instance, REFERENCE_VOLUME), heuristics, budget
-    )
+    selections = _selections(_with_volume(instance, REFERENCE_VOLUME), heuristics, budget)
     for volume in volumes:
         at = _with_volume(instance, volume)
-        if volume:
-            yield volume, [eval_with_coding(at, s.routing, s.assignment) for s in selections]
-        else:
-            yield volume, [eval_with_coding(at, routing, EMPTY_ASSIGNMENT)] * len(selections)
+        yield volume, [eval_with_coding(at, s.routing, s.assignment) for s in selections]
 
 
 def _power_row(report: PowerReport) -> list[str]:
@@ -266,7 +265,7 @@ def _cmd_analyze(args) -> int:
         volumes = _sweep_volumes(args.sweep)
         instance = _build_instance(args, None)
         rows = [
-            [fmt(volume)] + _power_row(report)
+            [_volume_label(volume)] + _power_row(report)
             for volume, [report] in _volume_reports(instance, volumes, [args.heuristic], args.budget)
         ]
         _write_csv(args.out, ["volume_gbps"] + POWER_HEADER, rows)

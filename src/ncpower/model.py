@@ -1,21 +1,18 @@
-"""Network, demand and instance model, plus the on-disk instance format.
+"""Network, demand, device and instance model, plus the on-disk instance format.
 
-Nodes are integers 1..N.  A topology stores directed links, always closed
-under direction reversal (fibre pairs), so the undirected view is what the
-``edge`` directives in instance files describe.
+Every fact of an instance lives here: the fibre topology, the demands and the
+device power model they are priced with.  Nodes are integers 1..N.  A
+topology stores each bidirectional fibre once, as the canonical (u, v) with
+u < v, which is what the ``edge`` directives in instance files describe.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError, InstanceError
-from .power import PowerParams
-
-if TYPE_CHECKING:
-    from .routing import _PairWalk
 
 # Directed link and canonical (u < v) undirected edge.
 Link = tuple[int, int]
@@ -46,30 +43,25 @@ class Topology:
     """Bidirectional fibre topology over nodes 1..node_count."""
 
     node_count: int
-    links: frozenset[Link]
+    undirected_edges: frozenset[Edge]
 
     def __post_init__(self):
         if self.node_count < 1:
             raise DomainError("topology needs at least one node")
-        for u, v in self.links:
+        for u, v in self.undirected_edges:
             if u == v:
                 raise DomainError(f"self-loop at node {u}")
             if not (1 <= u <= self.node_count and 1 <= v <= self.node_count):
                 raise DomainError(f"link ({u},{v}) outside node range 1..{self.node_count}")
-            if (v, u) not in self.links:
-                raise DomainError(f"link ({u},{v}) missing its reverse direction")
+            if u > v:
+                raise DomainError(
+                    f"fibre ({u},{v}) must be written ({v},{u}); "
+                    f"Topology.from_undirected_edges accepts either order"
+                )
 
     @classmethod
     def from_undirected_edges(cls, node_count: int, edges) -> Topology:
-        links = set()
-        for u, v in edges:
-            links.add((u, v))
-            links.add((v, u))
-        return cls(node_count=node_count, links=frozenset(links))
-
-    @cached_property
-    def undirected_edges(self) -> frozenset[Edge]:
-        return frozenset(undirected(l) for l in self.links)
+        return cls(node_count, frozenset(map(undirected, edges)))
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -85,7 +77,7 @@ class Topology:
         return {}
 
     @cached_property
-    def _pair_walks(self) -> dict[tuple[int, int], _PairWalk]:
+    def _pair_walks(self) -> dict[tuple[int, int], object]:
         # disjoint-pair candidate walk per ordered (s, t); routing fills it
         return {}
 
@@ -125,6 +117,30 @@ class Demand:
 
 
 @dataclass(frozen=True)
+class PowerParams:
+    """Device power draw and channel capacity.
+
+    Defaults model a 1000 W IP router port plus a 73 W WDM transponder on
+    40 Gbps channels, i.e. a slope of 26.825 W per Gbps per hop.
+    """
+
+    port_w: float = 1000.0
+    transponder_w: float = 73.0
+    channel_gbps: float = 40.0
+
+    def __post_init__(self):
+        if not (0 <= self.port_w < math.inf and 0 <= self.transponder_w < math.inf):
+            raise DomainError("device powers must be finite and non-negative")
+        if not 0 < self.channel_gbps < math.inf:
+            raise DomainError("channel capacity must be finite and positive")
+
+    @property
+    def slope_w_per_gbps(self) -> float:
+        """Watts drawn per Gbps carried over one link."""
+        return (self.port_w + self.transponder_w) / self.channel_gbps
+
+
+@dataclass(frozen=True)
 class Instance:
     """A topology, a demand set and the power parameters to price them with."""
 
@@ -150,22 +166,22 @@ def _all_pairs_demands(n: int, volume: float) -> tuple[Demand, ...]:
     )
 
 
-def generate_full_mesh(n: int, volume: float = 20.0, power: PowerParams | None = None) -> Instance:
+def generate_full_mesh(n: int, volume: float = 20.0, power: PowerParams = PowerParams()) -> Instance:
     """Full mesh on n >= 3 nodes with a uniform all-pairs demand set."""
     if n < 3:
         raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     topo = Topology.from_undirected_edges(n, edges)
-    return Instance(topo, _all_pairs_demands(n, volume), power or PowerParams())
+    return Instance(topo, _all_pairs_demands(n, volume), power)
 
 
-def generate_ring(n: int, volume: float = 20.0, power: PowerParams | None = None) -> Instance:
+def generate_ring(n: int, volume: float = 20.0, power: PowerParams = PowerParams()) -> Instance:
     """Bidirectional ring 1-2-...-n-1 with a uniform all-pairs demand set."""
     if n < 3:
         raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     topo = Topology.from_undirected_edges(n, edges)
-    return Instance(topo, _all_pairs_demands(n, volume), power or PowerParams())
+    return Instance(topo, _all_pairs_demands(n, volume), power)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +287,7 @@ def load_instance(text: str) -> Instance:
     topo = Topology.from_undirected_edges(node_count, edges)
     if not topo.is_connected():
         raise InstanceError("graph is disconnected", nodes_line)
-    try:
-        return Instance(topo, tuple(demands), power or PowerParams())
-    except DomainError as exc:  # demands validated per-line, so this is rare
-        raise InstanceError(str(exc), nodes_line) from None
+    return Instance(topo, tuple(demands), power or PowerParams())
 
 
 def _fmt(value: float) -> str:

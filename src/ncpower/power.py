@@ -1,47 +1,23 @@
-"""Linear power model for transponders and IP/WDM ports.
+"""Pricing of a routing and coding choice under the linear power model.
 
-Every wavelength channel of capacity B Gbps costs one transponder and one
-router port at each end of a lightpath hop, so carrying V Gbps over one hop
-draws (p_port + p_transponder) * V / B watts.  Total network power is the sum
-over demands of volume x (working hops + protection hops), minus the traffic
-that XOR-coded protection removes from shared links.
+The device model (``model.PowerParams``) is instance data; this module turns
+it and a selection into watts.  Every wavelength channel of capacity B Gbps
+costs one transponder and one router port at each end of a lightpath hop, so
+carrying V Gbps over one hop draws (p_port + p_transponder) * V / B watts.
+Total network power is the sum over demands of volume x (working hops +
+protection hops), minus the traffic that XOR-coded protection removes from
+shared links.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .errors import ContractError, DomainError
-
-if TYPE_CHECKING:  # imported only for annotations; model imports us at runtime
-    from .coding import CodingAssignment
-    from .model import Demand, Instance
-    from .routing import PathPair
-
-
-@dataclass(frozen=True)
-class PowerParams:
-    """Device power draw and channel capacity.
-
-    Defaults model a 1000 W IP router port plus a 73 W WDM transponder on
-    40 Gbps channels, i.e. a slope of 26.825 W per Gbps per hop.
-    """
-
-    port_w: float = 1000.0
-    transponder_w: float = 73.0
-    channel_gbps: float = 40.0
-
-    def __post_init__(self):
-        if not (0 <= self.port_w < math.inf and 0 <= self.transponder_w < math.inf):
-            raise DomainError("device powers must be finite and non-negative")
-        if not 0 < self.channel_gbps < math.inf:
-            raise DomainError("channel capacity must be finite and positive")
-
-    @property
-    def slope_w_per_gbps(self) -> float:
-        """Watts drawn per Gbps carried over one link."""
-        return (self.port_w + self.transponder_w) / self.channel_gbps
+from .coding import CodingAssignment
+from .errors import ContractError
+from .model import Demand, Instance
+from .routing import PathPair, index_routing
 
 
 @dataclass(frozen=True)
@@ -56,8 +32,6 @@ class PowerReport:
 
 def eval_conventional(instance: Instance, routing: Iterable[PathPair]) -> float:
     """Power of plain 1+1 protection: k * sum_d V_d * (working + protection hops)."""
-    from .routing import index_routing  # deferred: model->power->routing would cycle
-
     return _conventional(instance, index_routing(instance, routing))
 
 
@@ -85,8 +59,6 @@ def eval_with_coding(
     priced here at any volume.  The assignment must be consistent with
     ``routing``: shared links must actually lie on the recorded paths.
     """
-    from .routing import index_routing
-
     by_demand = index_routing(instance, routing)
     k = instance.power.slope_w_per_gbps
     p1 = _conventional(instance, by_demand)

@@ -26,8 +26,8 @@ from ncpower.bounds import (
 )
 from ncpower.coding import EMPTY_ASSIGNMENT, select_pairs_osh
 from ncpower.errors import DomainError
-from ncpower.model import generate_full_mesh, generate_ring
-from ncpower.power import PowerParams, eval_conventional, eval_with_coding
+from ncpower.model import PowerParams, generate_full_mesh, generate_ring
+from ncpower.power import eval_conventional, eval_with_coding
 from ncpower.routing import route_instance
 
 EXPECTED_RING_CLASS = {

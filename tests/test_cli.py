@@ -440,6 +440,19 @@ def test_small_sweep_volumes_keep_their_value(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec,labels", [
+    ("20:20.000001:0.0000005", ["20", "20.0000005", "20.000001"]),
+    ("100000.4:100000.4:1", ["100000.4"]),
+])
+def test_sweep_labels_read_back_as_their_volume(spec, labels, capsys):
+    # six significant digits label a row only when they read back as its volume
+    argv = ["analyze", "--gen", "ring:3", "--heuristic", "conventional", "--sweep", spec]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == labels
+    assert [float(label) for label in labels] == _sweep_volumes(spec)
+
+
 def test_analyze_sweep_builds_one_instance(monkeypatch, capsys, tmp_path):
     # the sweep re-keys one instance per volume; the file is read once
     reads = []

@@ -8,20 +8,20 @@ from ncpower.errors import DomainError, InstanceError
 from ncpower.model import (
     Demand,
     Instance,
+    PowerParams,
     Topology,
     generate_full_mesh,
     generate_ring,
     load_instance,
     serialize_instance,
 )
-from ncpower.power import PowerParams
 
 
 def test_mesh_generator_counts():
     inst = generate_full_mesh(5, 20.0)
     assert inst.topology.node_count == 5
     assert len(inst.topology.undirected_edges) == 10
-    assert len(inst.topology.links) == 20
+    assert all(u < v for u, v in inst.topology.undirected_edges)
     assert len(inst.demands) == 20
     assert all(d.volume == 20.0 for d in inst.demands)
 
@@ -44,6 +44,20 @@ def test_topology_rejects_self_loop_and_bad_range():
         Topology.from_undirected_edges(3, [(1, 1)])
     with pytest.raises(DomainError):
         Topology.from_undirected_edges(3, [(1, 4)])
+
+
+def test_topology_stores_each_fibre_once():
+    # a fibre is kept as its canonical (u, v), u < v, whichever way it is given
+    topo = Topology.from_undirected_edges(3, [(1, 2), (2, 1), (2, 3)])
+    assert topo.undirected_edges == {(1, 2), (2, 3)}
+    assert topo == Topology.from_undirected_edges(3, [(2, 1), (3, 2)])
+    for edge, message in [
+        ((2, 2), "self-loop at node 2"),
+        ((1, 4), r"link \(1,4\) outside node range 1\.\.3"),
+        ((3, 1), r"fibre \(3,1\) must be written \(1,3\); Topology\.from_undirected_edges"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            Topology(3, frozenset({edge}))
 
 
 def test_demand_validation():

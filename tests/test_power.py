@@ -20,8 +20,8 @@ from ncpower.coding import (
     select_pairs_osh,
 )
 from ncpower.errors import ContractError, DomainError
-from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring
-from ncpower.power import PowerParams, eval_conventional, eval_with_coding
+from ncpower.model import Demand, Instance, PowerParams, generate_full_mesh, generate_ring
+from ncpower.power import eval_conventional, eval_with_coding
 from ncpower.routing import route_instance
 
 W, P = PathKind.WORKING, PathKind.PROTECTION

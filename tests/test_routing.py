@@ -368,7 +368,7 @@ def test_resumed_walk_equals_fresh_walk():
         n = topo.node_count
         for s, t in itertools.permutations(range(1, n + 1), 2):
             d = Demand(s, t, 1.0)
-            fresh = disjoint_pair_candidates(Topology(n, topo.links), d, 8)
+            fresh = disjoint_pair_candidates(Topology(n, topo.undirected_edges), d, 8)
             for k in (1, 2, 5, 3, 8):
                 cands = disjoint_pair_candidates(topo, d, k)
                 assert cands == fresh[:k]
