@@ -56,7 +56,7 @@ class CodedPair:
     second: tuple[int, int]
     first_kind: PathKind
     second_kind: PathKind
-    shared_links: frozenset[Link]
+    shared_hops: int  # directed links the two encoded paths share
 
     def __post_init__(self):
         if self.first[1] != self.second[1]:
@@ -67,12 +67,8 @@ class CodedPair:
             )
         if self.first[0] >= self.second[0]:
             raise ContractError("coded pair must be ordered by source id")
-        if not self.shared_links:
+        if self.shared_hops < 1:
             raise ContractError("coded pair without shared links")
-
-    @property
-    def shared_hops(self) -> int:
-        return len(self.shared_links)
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,7 @@ def _select(
     it in one pass, keeping each demand's first maximum.  That visits every
     pair in combo, own-mask, other-mask order, which is the tie-break above.
     Only the non-zero scores of a row are read, since a zero never wins.
-    Only matched pairs build the ``frozenset`` of their shared links.
+    Each pick keeps its shared-link count, which its coded pair records.
     """
     units = _volume_units(instance.demands)
     new_routing = dict(routing)
@@ -208,10 +204,11 @@ def _select(
 
         cluster_units = [units[d] for d in demands]
         weights: dict[tuple[int, int], int] = {}
-        picks: dict[tuple[int, int], tuple[tuple[PathKind, PathKind], int, int]] = {}
+        # (combo, own mask index, other mask index, shared links)
+        picks: dict[tuple[int, int], tuple[tuple[PathKind, PathKind], int, int, int]] = {}
         for i in range(n - 1):
             best = [0] * n
-            pick: list[tuple[tuple[PathKind, PathKind], int, int] | None] = [None] * n
+            pick: list[tuple[tuple[PathKind, PathKind], int, int, int] | None] = [None] * n
             for combo in combos:
                 own, other = masks[combo[0]], masks[combo[1]]
                 owner = owners[combo[1]]
@@ -225,16 +222,15 @@ def _select(
                     for q, shared in compress(enumerate(scores, row_start), scores):
                         if shared > best[owner[q]]:
                             best[owner[q]] = shared
-                            pick[owner[q]] = (combo, p1, q)
+                            pick[owner[q]] = (combo, p1, q, shared)
             for j in compress(range(i + 1, n), best[i + 1 :]):
                 weights[(i, j)] = min(cluster_units[i], cluster_units[j]) * best[j]
                 picks[(i, j)] = pick[j]
         for i, j in max_weight_pairs(n, weights):
             d1, d2 = demands[i], demands[j]
-            combo, p1, q = picks[(i, j)]
+            combo, p1, q, shared = picks[(i, j)]
             new_routing[d1] = first_pair = pools[d1][indices[combo[0]][p1]]
             new_routing[d2] = second_pair = pools[d2][indices[combo[1]][q]]
-            shared = first_pair.path(combo[0]).link_set & second_pair.path(combo[1]).link_set
             chosen.append(CodedPair(first_pair.ends, second_pair.ends, combo[0], combo[1], shared))
 
     final = tuple(new_routing[d] for d in instance.demands)

@@ -149,7 +149,7 @@ def _search(
                 shared, combo, _ = values[(i, cand_idx[i], j, cand_idx[j])]
                 final_routing[d1] = first = cluster_pools[i][cand_idx[i]]
                 final_routing[d2] = second = cluster_pools[j][cand_idx[j]]
-                chosen.append(CodedPair(first.ends, second.ends, combo[0], combo[1], shared))
+                chosen.append(CodedPair(first.ends, second.ends, combo[0], combo[1], len(shared)))
 
     routing = tuple(final_routing[d] for d in instance.demands)
     assignment = CodingAssignment(tuple(chosen))

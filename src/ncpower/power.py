@@ -57,7 +57,7 @@ def eval_with_coding(
     Routing and assignment carry no volume: both name demands by endpoints,
     and the volumes are those of ``instance``'s demands, so one selection is
     priced here at any volume.  The assignment must be consistent with
-    ``routing``: shared links must actually lie on the recorded paths.
+    ``routing``: a pair's two recorded paths share its ``shared_hops`` links.
     """
     by_demand = index_routing(instance, routing)
     k = instance.power.slope_w_per_gbps
@@ -66,16 +66,17 @@ def eval_with_coding(
 
     reduction = 0.0
     for coded in assignment.pairs:
-        for ends, kind in ((coded.first, coded.first_kind), (coded.second, coded.second_kind)):
-            demand = by_ends.get(ends)
-            if demand is None:
+        for ends in (coded.first, coded.second):
+            if ends not in by_ends:
                 raise ContractError("coded pair references unrouted demand {}->{}".format(*ends))
-            if not coded.shared_links <= by_demand[demand].path(kind).link_set:
-                raise ContractError(
-                    f"shared links {sorted(coded.shared_links)} not on the "
-                    f"{kind.value} path of {demand}"
-                )
         first, second = by_ends[coded.first], by_ends[coded.second]
+        on_first = by_demand[first].path(coded.first_kind).link_set
+        shared = sum(map(on_first.__contains__, by_demand[second].path(coded.second_kind).links))
+        if shared < coded.shared_hops:
+            raise ContractError(
+                f"{coded.shared_hops} shared links not on the {coded.first_kind.value} path of "
+                f"{first} and the {coded.second_kind.value} path of {second}, which share {shared}"
+            )
         reduction += pair_saving(k, first.volume, second.volume, coded.shared_hops)
 
     total = p1 - reduction

@@ -164,6 +164,23 @@ def reference_selection(instance: Instance, pools: dict, combos) -> tuple[list[t
     return chosen, [routing[d] for d in instance.demands]
 
 
+def routed_shared_links(routing, pairs) -> list[frozenset]:
+    """Each coded pair's shared links, read from ``routing``.
+
+    They are the intersection of the link sets of the two paths the pair
+    encodes, as ``routing`` records them; each pair's ``shared_hops`` must
+    count exactly these links.
+    """
+    by_ends = {pair.ends: pair for pair in routing}
+    links = []
+    for coded in pairs:
+        first = by_ends[coded.first].path(coded.first_kind).link_set
+        shared = first & by_ends[coded.second].path(coded.second_kind).link_set
+        assert coded.shared_hops == len(shared)
+        links.append(shared)
+    return links
+
+
 def grid_topology(rows: int, cols: int) -> Topology:
     """rows x cols grid, nodes numbered row by row from 1."""
     edges = []

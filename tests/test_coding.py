@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from conftest import DATA_DIR, grid_topology, random_survivable_instance, reference_selection
+from conftest import (
+    DATA_DIR,
+    grid_topology,
+    random_survivable_instance,
+    reference_selection,
+    routed_shared_links,
+)
 
 import ncpower.coding as coding
 from ncpower.coding import (
@@ -26,27 +32,31 @@ from ncpower.matching import exhaustive_matching, max_weight_matching
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
 from ncpower.oracle import optimal_joint
 from ncpower.power import eval_with_coding
-from ncpower.routing import disjoint_pair_candidates, route_instance
+from ncpower.routing import Path, disjoint_pair_candidates, route_instance
 
 W, P = PathKind.WORKING, PathKind.PROTECTION
 
 
 def test_coded_pair_validation():
     d1, d2 = (1, 3), (2, 3)
-    links = frozenset({(2, 3)})
+    shared = Path((1, 2, 3)).link_set & Path((2, 3)).link_set
+    assert shared == {(2, 3)}
     with pytest.raises(ContractError, match="ordered by source"):
-        CodedPair(d2, d1, P, P, links)
+        CodedPair(d2, d1, P, P, len(shared))
     with pytest.raises(ContractError, match="shared links"):
-        CodedPair(d1, d2, P, P, frozenset())
+        CodedPair(d1, d2, P, P, shared_hops=0)
     with pytest.raises(FeasibilityError, match="destinations differ"):
-        CodedPair((1, 3), (2, 4), P, P, links)
+        CodedPair((1, 3), (2, 4), P, P, len(shared))
 
 
 def test_assignment_rejects_demand_reuse():
     d1, d2, d3 = (1, 4), (2, 4), (3, 4)
-    links = frozenset({(3, 4)})
-    pair_a = CodedPair(d1, d2, P, P, links)
-    pair_b = CodedPair(d1, d3, P, P, links)
+    path = {d1: Path((1, 3, 4)), d2: Path((2, 3, 4)), d3: Path((3, 4))}
+    shared_a = path[d1].link_set & path[d2].link_set
+    shared_b = path[d1].link_set & path[d3].link_set
+    assert shared_a == shared_b == {(3, 4)}
+    pair_a = CodedPair(d1, d2, P, P, len(shared_a))
+    pair_b = CodedPair(d1, d3, P, P, len(shared_b))
     with pytest.raises(ContractError, match="two coded pairs"):
         CodingAssignment((pair_a, pair_b))
 
@@ -383,9 +393,10 @@ def _scorer_instances():
 
 def _assert_equals_reference(inst, sel, pools, combos):
     pairs, routing = reference_selection(inst, pools, combos)
+    coded = sel.assignment.pairs
     got = [
-        (p.first, p.second, p.first_kind, p.second_kind, p.shared_links)
-        for p in sel.assignment.pairs
+        (p.first, p.second, p.first_kind, p.second_kind, shared)
+        for p, shared in zip(coded, routed_shared_links(sel.routing, coded))
     ]
     assert got == pairs
     assert list(sel.routing) == routing

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import routed_shared_links
 
 import ncpower.oracle as oracle_mod
 from ncpower.coding import COMBO_NAMES, KIND_COMBOS, select_pairs_fixed, select_pairs_osh
@@ -52,9 +53,10 @@ def test_matching_oracle_pairs_do_not_depend_on_volume_scale():
     def picked(volume):
         inst = generate_ring(8, volume)
         result = optimal_matching(inst, route_instance(inst), (COMBO_NAMES["pw"],))
+        coded = result.best_assignment.pairs
         return [
-            (*p.first, p.second[0], p.first_kind, p.second_kind, p.shared_links)
-            for p in result.best_assignment.pairs
+            (*p.first, p.second[0], p.first_kind, p.second_kind, shared)
+            for p, shared in zip(coded, routed_shared_links(result.best_routing, coded))
         ]
 
     assert picked(20.0) == picked(1 / 3)

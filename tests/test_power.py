@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import random_survivable_instance
+from conftest import random_survivable_instance, routed_shared_links
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -141,6 +141,7 @@ CONTRACT_ERRORS = {
     "shifted-demands": "demand 1->2 has no routing",
     "coded-unrouted": "coded pair references unrouted demand",
     "shared-off-path": "not on the",
+    "shared-overclaimed": "not on the",
 }
 
 
@@ -156,6 +157,8 @@ def test_routing_and_assignment_contract(case):
         inst.topology, tuple(d for d in inst.demands if (d.source, d.dest) != paired)
     )
     flipped = replace(pairs[0], first_kind=P if pairs[0].first_kind is W else W)
+    (shared,) = routed_shared_links(routing, pairs[:1])
+    overclaimed = replace(pairs[0], shared_hops=len(shared) + 1)
     args = {
         "gap": (inst, routing[:-1], sel.assignment),
         "duplicate": (inst, routing + routing[:1], sel.assignment),
@@ -165,6 +168,7 @@ def test_routing_and_assignment_contract(case):
         ),
         "coded-unrouted": (unpaired, tuple(p for p in routing if p.ends != paired), sel.assignment),
         "shared-off-path": (inst, routing, CodingAssignment((flipped,) + pairs[1:])),
+        "shared-overclaimed": (inst, routing, CodingAssignment((overclaimed,) + pairs[1:])),
     }[case]
     with pytest.raises(ContractError, match=CONTRACT_ERRORS[case]):
         eval_with_coding(*args)

@@ -446,9 +446,10 @@ def test_volume_sweep_keeps_one_walk_per_ordered_pair(monkeypatch, capsys):
     assert set(topologies[0]._pair_walks) == set(itertools.permutations(range(1, 8), 2))
 
 
-# twice the 5.79 MB traced peak of routing and selecting ring:40 with lean
-# paths and one walk per ordered pair (it was 33.5 MB with cached link sets)
-PEAK_BOUND_RING_40 = 11_600_000
+# twice the 2.61 MB traced peak of routing and selecting ring:40 when coded
+# pairs keep a shared-hop count (5.56 MB while each kept its shared link set,
+# 33.5 MB while paths cached their link sets)
+PEAK_BOUND_RING_40 = 5_210_000
 
 
 def test_route_and_select_peak_memory_on_ring_40():
