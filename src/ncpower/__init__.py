@@ -3,7 +3,6 @@
 from .bounds import (
     BoundReport,
     RingClass,
-    bound_conventional,
     bound_nc,
     closed_form,
     mesh_fluctuation,
@@ -47,7 +46,7 @@ from .model import (
     serialize_instance,
 )
 from .oracle import OracleResult, optimal_joint, optimal_matching
-from .power import PowerReport, eval_conventional, eval_with_coding
+from .power import PowerReport, eval_with_coding
 from .routing import (
     Path,
     PathKind,

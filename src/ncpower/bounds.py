@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Iterable
 
 from .coding import CodingAssignment, EMPTY_ASSIGNMENT
-from .errors import DomainError, RoutingError
+from .errors import ContractError, DomainError, RoutingError
 from .model import Demand, Instance, PowerParams
 
 
@@ -114,11 +114,6 @@ def _bound_report(
     )
 
 
-def bound_conventional(instance: Instance) -> float:
-    """Power floor of plain 1+1 protection: both paths need at least h_min hops."""
-    return bound_nc(instance).conventional_lower
-
-
 def bound_nc(instance: Instance, assignment: CodingAssignment = EMPTY_ASSIGNMENT) -> BoundReport:
     """Lower bounds with coded protection under ``assignment``'s pairing."""
     min_hops = min_hop_table(instance)
@@ -129,9 +124,13 @@ def bound_nc(instance: Instance, assignment: CodingAssignment = EMPTY_ASSIGNMENT
     volume = {(d.source, d.dest): d.volume for d in instance.demands}
     cuts: dict[float, int] = {}
     for p in assignment.pairs:
+        for ends in (p.first, p.second):
+            if ends not in volume:
+                raise ContractError("coded pair references unknown demand {}->{}".format(*ends))
         v = min(volume[p.first], volume[p.second])
         cuts[v] = cuts.get(v, 0) + p.shared_hops
-    shared_total = sum(assignment.shared_hops(ends) for ends in volume)
+    # each pair's shared hops count once for each of its two demands
+    shared_total = 2 * sum(cuts.values())
     return _bound_report(instance.power.slope_w_per_gbps, volumes, shared_total, cuts)
 
 

@@ -28,10 +28,18 @@ from .errors import (
     OracleGuardError,
     SurvivabilityError,
 )
-from .model import Demand, Instance, PowerParams, generate_full_mesh, generate_ring, load_instance
+from .model import (
+    DEFAULT_VOLUME,
+    Demand,
+    Instance,
+    PowerParams,
+    generate_full_mesh,
+    generate_ring,
+    load_instance,
+)
 from .oracle import JOINT_NODE_GUARD, optimal_joint
 from .power import PowerReport, eval_with_coding, pair_saving
-from .routing import route_instance
+from .routing import CANDIDATE_BUDGET, route_instance
 
 HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 
@@ -125,7 +133,7 @@ def _build_instance(args, volume: float | None) -> Instance:
         kind, n = _parse_gen(args.gen)
         _require_evaluable(kind, n)
         power = _parse_power(args.power)
-        return _generate(kind, n, 20.0 if volume is None else volume, power)
+        return _generate(kind, n, DEFAULT_VOLUME if volume is None else volume, power)
     return _load_file(args.instance, volume, args.power)
 
 
@@ -142,8 +150,7 @@ def _selections(instance: Instance, heuristics: Sequence[str], budget: int) -> l
         elif name == "osh":
             selection = select_pairs_osh(instance, routing, budget)
         elif name == "oracle":
-            joint = optimal_joint(instance, budget)
-            selection = SelectionResult(joint.best_assignment, joint.best_routing)
+            selection = optimal_joint(instance, budget)
         else:
             selection = select_pairs_fixed(instance, routing, COMBO_NAMES[name])
         selections.append(selection)
@@ -283,7 +290,7 @@ def _cmd_bounds(args) -> int:
     if args.gen:
         params = _parse_power(args.power)
         kind, n = _parse_gen(args.gen)
-        volume = 20.0 if args.volume is None else args.volume
+        volume = DEFAULT_VOLUME if args.volume is None else args.volume
         demand_count = n * (n - 1)
     else:
         instance = _load_file(args.instance, args.volume, args.power)
@@ -355,7 +362,7 @@ def _cmd_sweep(args) -> int:
         if h not in HEURISTICS:
             raise InstanceError(f"unknown heuristic {h!r}")
     params = _parse_power(args.power)
-    volume = 20.0 if args.volume is None else args.volume
+    volume = DEFAULT_VOLUME if args.volume is None else args.volume
     if heuristics:
         # every size is routed, so the demands of all sizes count against the
         # limit; both guards refuse the sweep before any row is computed
@@ -388,7 +395,8 @@ def _repro_volume_table(kind: str) -> tuple[list[str], list[list[str]]]:
     volumes = [float(v) for v in range(20, 201, 20)]
     instance = _generate(kind, 5, REFERENCE_VOLUME, params)
     rows = []
-    for volume, (oracle, osh) in _volume_reports(instance, volumes, ["oracle", "osh"], 8):
+    reports = _volume_reports(instance, volumes, ["oracle", "osh"], CANDIDATE_BUDGET)
+    for volume, (oracle, osh) in reports:
         conv, coded, _, _ = closed_form(kind, 5, volume, params)
         rows.append([fmt(volume), fmt(conv), fmt(coded), fmt(oracle.p_total), fmt(osh.p_total)])
     return header, rows
@@ -398,7 +406,10 @@ def _repro_size_table(kind: str) -> tuple[list[str], list[list[str]]]:
     heuristics = ["osh", "ww", "pp"] if kind == "mesh" else ["osh", "ww", "wp", "pw", "pp"]
     class_column = "parity" if kind == "mesh" else "ring_class"
     header = ["size", class_column, "analytic_pct"] + [f"{h}_pct" for h in heuristics]
-    rows = [_size_row(kind, n, 20.0, PowerParams(), heuristics, 8) for n in range(3, 16)]
+    rows = [
+        _size_row(kind, n, DEFAULT_VOLUME, PowerParams(), heuristics, CANDIDATE_BUDGET)
+        for n in range(3, 16)
+    ]
     return header, rows
 
 
@@ -425,7 +436,9 @@ def _add_instance_flags(parser: argparse.ArgumentParser, gen_required: bool = Fa
         source.add_argument("--instance", help="instance file path")
     parser.add_argument("--volume", type=float, default=None, help="uniform demand volume in Gbps")
     parser.add_argument("--power", default=None, help="port_w,transponder_w,channel_gbps")
-    parser.add_argument("--budget", type=int, default=8, help="disjoint-pair candidates per demand")
+    parser.add_argument(
+        "--budget", type=int, default=CANDIDATE_BUDGET, help="disjoint-pair candidates per demand"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ContractError, FeasibilityError
 from .matching import max_weight_matching
 from .model import Demand, Instance, Link
-from .routing import PathKind, PathPair, disjoint_pair_candidates, index_routing
+from .routing import CANDIDATE_BUDGET, PathKind, PathPair, disjoint_pair_candidates, index_routing
 
 _W = PathKind.WORKING
 _P = PathKind.PROTECTION
@@ -84,18 +83,6 @@ class CodingAssignment:
                 if ends in seen:
                     raise ContractError("demand {}->{} appears in two coded pairs".format(*ends))
                 seen.add(ends)
-
-    @cached_property
-    def _shared_by_ends(self) -> dict[tuple[int, int], int]:
-        table: dict[tuple[int, int], int] = {}
-        for pair in self.pairs:
-            table[pair.first] = pair.shared_hops
-            table[pair.second] = pair.shared_hops
-        return table
-
-    def shared_hops(self, ends: tuple[int, int]) -> int:
-        """Shared hop count of the coded pair of the demand ``ends``; 0 when unpaired."""
-        return self._shared_by_ends.get(ends, 0)
 
 
 EMPTY_ASSIGNMENT = CodingAssignment(())
@@ -251,7 +238,7 @@ def select_pairs_fixed(
 def select_pairs_osh(
     instance: Instance,
     routing: Iterable[PathPair],
-    candidate_budget: int = 8,
+    candidate_budget: int = CANDIDATE_BUDGET,
 ) -> SelectionResult:
     """Joint pairing/routing search over all kind combos (the strongest heuristic).
 

@@ -18,6 +18,9 @@ from .errors import DomainError, InstanceError
 Link = tuple[int, int]
 Edge = tuple[int, int]
 
+# uniform demand volume in Gbps of a generated instance when none is given
+DEFAULT_VOLUME = 20.0
+
 
 def undirected(link: Link) -> Edge:
     u, v = link
@@ -166,7 +169,9 @@ def _all_pairs_demands(n: int, volume: float) -> tuple[Demand, ...]:
     )
 
 
-def generate_full_mesh(n: int, volume: float = 20.0, power: PowerParams = PowerParams()) -> Instance:
+def generate_full_mesh(
+    n: int, volume: float = DEFAULT_VOLUME, power: PowerParams = PowerParams()
+) -> Instance:
     """Full mesh on n >= 3 nodes with a uniform all-pairs demand set."""
     if n < 3:
         raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
@@ -175,7 +180,9 @@ def generate_full_mesh(n: int, volume: float = 20.0, power: PowerParams = PowerP
     return Instance(topo, _all_pairs_demands(n, volume), power)
 
 
-def generate_ring(n: int, volume: float = 20.0, power: PowerParams = PowerParams()) -> Instance:
+def generate_ring(
+    n: int, volume: float = DEFAULT_VOLUME, power: PowerParams = PowerParams()
+) -> Instance:
     """Bidirectional ring 1-2-...-n-1 with a uniform all-pairs demand set."""
     if n < 3:
         raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
@@ -285,7 +292,9 @@ def load_instance(text: str) -> Instance:
         raise InstanceError("empty instance: no 'nodes' directive", 1)
 
     topo = Topology.from_undirected_edges(node_count, edges)
-    if not topo.is_connected():
+    # a connected graph needs N - 1 fibres; too few refuses a huge node count
+    # before the connectivity check builds an adjacency entry per node
+    if len(edges) < node_count - 1 or not topo.is_connected():
         raise InstanceError("graph is disconnected", nodes_line)
     return Instance(topo, tuple(demands), power or PowerParams())
 

@@ -9,6 +9,9 @@ own routed pair, so only the matchings vary; ``optimal_joint`` gives it its
 disjoint-pair candidates.  Pairs are scored by the oracle's own ``pair_value``,
 independent of the selectors, and weighed in the selectors' exact integer
 volume units, so a fault in the selectors shows up as a disagreement.
+
+Both return a selection, as the selectors do, plus the number of matchings
+explored; ``power.eval_with_coding`` prices it like a selector's.
 """
 from __future__ import annotations
 
@@ -21,24 +24,23 @@ from .coding import (
     CodedPair,
     CodingAssignment,
     PathKind,
+    SelectionResult,
     _clusters,
     _volume_units,
 )
 from .errors import OracleGuardError
 from .matching import exhaustive_matching
 from .model import Demand, Instance
-from .power import eval_with_coding
-from .routing import PathPair, disjoint_pair_candidates, index_routing
+from .routing import CANDIDATE_BUDGET, PathPair, disjoint_pair_candidates, index_routing
 
 MATCHING_GUARD = 1 << 20  # max matchings enumerated per cluster
 JOINT_NODE_GUARD = 7  # optimal_joint refuses larger instances
 
 
 @dataclass(frozen=True)
-class OracleResult:
-    best_power: float
-    best_assignment: CodingAssignment
-    best_routing: tuple[PathPair, ...]
+class OracleResult(SelectionResult):
+    """The optimal selection found, and the matchings walked to find it."""
+
     explored: int  # configurations enumerated (summed over clusters)
 
 
@@ -57,7 +59,7 @@ def optimal_matching(
     return _search(instance, pools, combos)
 
 
-def optimal_joint(instance: Instance, candidate_budget: int = 8) -> OracleResult:
+def optimal_joint(instance: Instance, candidate_budget: int = CANDIDATE_BUDGET) -> OracleResult:
     """Best assignment over candidate routings x matchings, by brute force.
 
     Guarded to instances of at most 7 nodes: the search is a cross-product of
@@ -152,11 +154,4 @@ def _search(
                 chosen.append(CodedPair(first.ends, second.ends, combo[0], combo[1], len(shared)))
 
     routing = tuple(final_routing[d] for d in instance.demands)
-    assignment = CodingAssignment(tuple(chosen))
-    report = eval_with_coding(instance, routing, assignment)
-    return OracleResult(
-        best_power=report.p_total,
-        best_assignment=assignment,
-        best_routing=routing,
-        explored=explored,
-    )
+    return OracleResult(CodingAssignment(tuple(chosen)), routing, explored)

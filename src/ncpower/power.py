@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .coding import CodingAssignment
 from .errors import ContractError
-from .model import Demand, Instance
+from .model import Instance
 from .routing import PathPair, index_routing
 
 
@@ -28,16 +28,6 @@ class PowerReport:
     p_conventional: float  # power with plain 1+1 duplication
     p_reduction: float  # power removed by coded sharing
     savings_fraction: float  # p_reduction / p_conventional (0 when idle)
-
-
-def eval_conventional(instance: Instance, routing: Iterable[PathPair]) -> float:
-    """Power of plain 1+1 protection: k * sum_d V_d * (working + protection hops)."""
-    return _conventional(instance, index_routing(instance, routing))
-
-
-def _conventional(instance: Instance, by_demand: dict[Demand, PathPair]) -> float:
-    k = instance.power.slope_w_per_gbps
-    return k * sum(d.volume * by_demand[d].total_hops for d in instance.demands)
 
 
 def pair_saving(slope: float, volume1: float, volume2: float, shared_hops: int) -> float:
@@ -61,7 +51,7 @@ def eval_with_coding(
     """
     by_demand = index_routing(instance, routing)
     k = instance.power.slope_w_per_gbps
-    p1 = _conventional(instance, by_demand)
+    p1 = k * sum(d.volume * by_demand[d].total_hops for d in instance.demands)
     by_ends = {(d.source, d.dest): d for d in instance.demands}
 
     reduction = 0.0

@@ -25,6 +25,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import ContractError, RoutingError, SurvivabilityError
 from .model import Demand, Instance, Link, Topology, _bfs_dist, undirected
 
+# disjoint-pair candidates per demand when the caller names no budget
+CANDIDATE_BUDGET = 8
+
 
 @dataclass(frozen=True, slots=True)
 class Path:
@@ -291,7 +294,9 @@ def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int
     walk.done = True
 
 
-def disjoint_pair_candidates(topology: Topology, demand: Demand, k: int = 8) -> list[PathPair]:
+def disjoint_pair_candidates(
+    topology: Topology, demand: Demand, k: int = CANDIDATE_BUDGET
+) -> list[PathPair]:
     """Up to k minimum-total-hop edge-disjoint pairs for a demand, lex-ordered.
 
     Every returned pair has the same (optimal) total hop count, so callers may

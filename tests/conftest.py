@@ -76,6 +76,11 @@ def brute_min_pairs(topology: Topology, source: int, dest: int) -> list[tuple[tu
     return []
 
 
+def shared_hops_by_demand(assignment) -> dict[tuple[int, int], int]:
+    """Each paired demand's (source, dest) mapped to its coded pair's shared hops."""
+    return {ends: pair.shared_hops for pair in assignment.pairs for ends in (pair.first, pair.second)}
+
+
 def exact_bounds(instance: Instance, assignment) -> dict[str, float]:
     """The five ``BoundReport`` numbers in Fraction arithmetic, each rounded once.
 
@@ -88,6 +93,7 @@ def exact_bounds(instance: Instance, assignment) -> dict[str, float]:
     distances: dict[int, dict[int, int]] = {}
     volume_hops = volume = Fraction(0)
     quarter_characteristic = 0  # sum of 4 * (h_min - shared / 4)
+    shared = shared_hops_by_demand(assignment)
     for d in instance.demands:
         if d.dest not in distances:
             distances[d.dest] = nx.single_source_shortest_path_length(graph, d.dest)
@@ -95,7 +101,7 @@ def exact_bounds(instance: Instance, assignment) -> dict[str, float]:
         v = Fraction(d.volume)
         volume_hops += v * hops
         volume += v
-        quarter_characteristic += 4 * hops - assignment.shared_hops((d.source, d.dest))
+        quarter_characteristic += 4 * hops - shared.get((d.source, d.dest), 0)
     volumes = {(d.source, d.dest): d.volume for d in instance.demands}
     cut = Fraction(0)
     for pair in assignment.pairs:

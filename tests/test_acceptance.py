@@ -18,17 +18,22 @@ import time
 from fractions import Fraction
 
 from ncpower.bounds import (
-    bound_conventional,
     bound_nc,
     mesh_fluctuation,
     mesh_savings_fraction,
     min_hop_table,
     ring_savings_fraction,
 )
-from ncpower.coding import KIND_COMBOS, PathKind, select_pairs_fixed, select_pairs_osh
+from ncpower.coding import (
+    EMPTY_ASSIGNMENT,
+    KIND_COMBOS,
+    PathKind,
+    select_pairs_fixed,
+    select_pairs_osh,
+)
 from ncpower.model import generate_full_mesh, generate_ring
 from ncpower.oracle import optimal_joint, optimal_matching
-from ncpower.power import eval_conventional, eval_with_coding
+from ncpower.power import eval_with_coding
 from ncpower.routing import route_instance
 
 WW = (PathKind.WORKING, PathKind.WORKING)
@@ -73,10 +78,11 @@ def test_acceptance_1_mesh_volume_scaling(capsys):
     for volume in range(20, 201, 20):
         inst = generate_full_mesh(5, float(volume))
         routing = route_instance(inst)
-        conventional = eval_conventional(inst, routing)
+        conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
         sel = select_pairs_osh(inst, routing)
         coded = eval_with_coding(inst, sel.routing, sel.assignment).p_total
-        oracle = optimal_joint(inst).best_power
+        joint = optimal_joint(inst)
+        oracle = eval_with_coding(inst, joint.routing, joint.assignment).p_total
         if sig6(conventional) != sig6(1609.5 * volume):
             problems.append(f"conventional({volume})={conventional}")
         if sig6(coded) != sig6(1341.25 * volume):
@@ -96,10 +102,11 @@ def test_acceptance_2_ring_volume_scaling(capsys):
     for volume in range(20, 201, 20):
         inst = generate_ring(5, float(volume))
         routing = route_instance(inst)
-        conventional = eval_conventional(inst, routing)
+        conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
         sel = select_pairs_osh(inst, routing)
         coded = eval_with_coding(inst, sel.routing, sel.assignment).p_total
-        oracle = optimal_joint(inst).best_power
+        joint = optimal_joint(inst)
+        oracle = eval_with_coding(inst, joint.routing, joint.assignment).p_total
         if sig6(conventional) != sig6(2682.5 * volume):
             problems.append(f"conventional({volume})={conventional}")
         if sig6(coded) != sig6(1877.75 * volume):
@@ -172,7 +179,8 @@ def test_acceptance_5_oracle_agreement(capsys, random_instances):
             inst = build(n, 20.0)
             sel = select_pairs_osh(inst, route_instance(inst))
             achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
-            optimum = optimal_joint(inst).best_power
+            joint = optimal_joint(inst)
+            optimum = eval_with_coding(inst, joint.routing, joint.assignment).p_total
             if achieved != optimum:
                 problems.append(f"{build.__name__}({n}): {achieved} vs {optimum}")
 
@@ -181,7 +189,7 @@ def test_acceptance_5_oracle_agreement(capsys, random_instances):
         routing = route_instance(inst)
         sel = select_pairs_osh(inst, routing)
         oracle = optimal_matching(inst, routing, combos=KIND_COMBOS)
-        best = eval_with_coding(inst, oracle.best_routing, oracle.best_assignment).p_reduction
+        best = eval_with_coding(inst, oracle.routing, oracle.assignment).p_reduction
         ours = eval_with_coding(inst, sel.routing, sel.assignment).p_reduction
         gap = 0.0 if best == 0 else max(0.0, 1 - ours / best)
         gaps.append(gap)
@@ -201,7 +209,7 @@ def test_acceptance_6_bound_validity(capsys, random_instances_uniform):
         routing = route_instance(inst)
         sel = select_pairs_osh(inst, routing)
         achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
-        conventional = eval_conventional(inst, routing)
+        conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
         report = bound_nc(inst, sel.assignment)
         min_hops = min_hop_table(inst)
         tol = 1e-9 * max(1.0, conventional)
@@ -209,7 +217,7 @@ def test_acceptance_6_bound_validity(capsys, random_instances_uniform):
             violations.append(f"#{idx} per-demand bound")
         if achieved < report.nc_lower_mean_form - tol:
             violations.append(f"#{idx} mean-form bound")
-        if conventional < bound_conventional(inst) - tol:
+        if conventional < bound_nc(inst).conventional_lower - tol:
             violations.append(f"#{idx} conventional bound")
         for d, pair in zip(inst.demands, sel.routing):
             if pair.total_hops < 2 * min_hops[d]:

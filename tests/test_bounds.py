@@ -7,11 +7,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import exact_bounds, random_survivable_instance
+from conftest import exact_bounds, random_survivable_instance, shared_hops_by_demand
 
 from ncpower.bounds import (
     RingClass,
-    bound_conventional,
     bound_nc,
     mesh_fluctuation,
     mesh_power,
@@ -24,10 +23,10 @@ from ncpower.bounds import (
     ring_shared_hops,
     uniform_bound,
 )
-from ncpower.coding import EMPTY_ASSIGNMENT, select_pairs_osh
-from ncpower.errors import DomainError
-from ncpower.model import PowerParams, generate_full_mesh, generate_ring
-from ncpower.power import eval_conventional, eval_with_coding
+from ncpower.coding import EMPTY_ASSIGNMENT, CodedPair, CodingAssignment, PathKind, select_pairs_osh
+from ncpower.errors import ContractError, DomainError
+from ncpower.model import Demand, Instance, PowerParams, generate_full_mesh, generate_ring
+from ncpower.power import eval_with_coding
 from ncpower.routing import route_instance
 
 EXPECTED_RING_CLASS = {
@@ -44,11 +43,11 @@ EXPECTED_RING_SHARED = {
 
 
 def test_mesh5_conventional_bound():
-    assert bound_conventional(generate_full_mesh(5, 20.0)) == pytest.approx(21460.0, abs=1e-9)
+    assert bound_nc(generate_full_mesh(5, 20.0)).conventional_lower == pytest.approx(21460.0, abs=1e-9)
 
 
 def test_ring5_conventional_bound():
-    assert bound_conventional(generate_ring(5, 20.0)) == pytest.approx(32190.0, abs=1e-9)
+    assert bound_nc(generate_ring(5, 20.0)).conventional_lower == pytest.approx(32190.0, abs=1e-9)
 
 
 def test_mesh5_bounds_under_optimal_assignment():
@@ -60,10 +59,9 @@ def test_mesh5_bounds_under_optimal_assignment():
     min_hops = min_hop_table(inst)
     assert all(min_hops[d] == 1 for d in inst.demands)
     ends = [(d.source, d.dest) for d in inst.demands]
-    assert all(sel.assignment.shared_hops(e) == 1 for e in ends)
-    assert all(
-        min_hops[d] - sel.assignment.shared_hops(e) / 4 == 0.75 for d, e in zip(inst.demands, ends)
-    )
+    shared = shared_hops_by_demand(sel.assignment)
+    assert all(shared.get(e, 0) == 1 for e in ends)
+    assert all(min_hops[d] - shared.get(e, 0) / 4 == 0.75 for d, e in zip(inst.demands, ends))
     assert report.volume_avg == 20.0
     assert report.characteristic_avg == 0.75
 
@@ -73,7 +71,18 @@ def test_bounds_with_empty_assignment_collapse_to_conventional():
     report = bound_nc(inst, EMPTY_ASSIGNMENT)
     assert report.nc_lower_per_demand == report.conventional_lower
     assert report.nc_lower_mean_form == pytest.approx(report.conventional_lower, rel=1e-12)
-    assert all(EMPTY_ASSIGNMENT.shared_hops((d.source, d.dest)) == 0 for d in inst.demands)
+    shared = shared_hops_by_demand(EMPTY_ASSIGNMENT)
+    assert all(shared.get((d.source, d.dest), 0) == 0 for d in inst.demands)
+
+
+def test_bounds_refuse_a_pair_of_a_demand_the_instance_lacks():
+    inst = generate_ring(5, 20.0)
+    stranger = CodingAssignment(
+        (CodedPair((1, 3), (2, 3), PathKind.PROTECTION, PathKind.PROTECTION, 1),)
+    )
+    lacking = Instance(inst.topology, (Demand(1, 3, 20.0),))
+    with pytest.raises(ContractError, match="unknown demand 2->3"):
+        bound_nc(lacking, stranger)
 
 
 def test_mesh_closed_forms():
@@ -149,7 +158,7 @@ def test_bounds_never_exceed_achieved_power():
         sel = select_pairs_osh(inst, routing)
         achieved = eval_with_coding(inst, sel.routing, sel.assignment)
         report = bound_nc(inst, sel.assignment)
-        conventional = eval_conventional(inst, routing)
+        conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
         tol = 1e-9 * max(1.0, achieved.p_total)
         assert conventional >= report.conventional_lower - tol
         assert achieved.p_total >= report.nc_lower_per_demand - tol

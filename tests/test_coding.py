@@ -425,8 +425,7 @@ def _selections(inst):
     for combo in KIND_COMBOS:
         yield select_pairs_fixed(inst, routing, combo)
     if inst.topology.node_count <= 7:
-        joint = optimal_joint(inst)
-        yield coding.SelectionResult(joint.best_assignment, joint.best_routing)
+        yield optimal_joint(inst)
 
 
 @pytest.mark.parametrize("make,n", [(generate_ring, 7), (generate_full_mesh, 6), (generate_ring, 11)])

@@ -1,6 +1,8 @@
 """Topology/demand model and the instance file format."""
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from conftest import DATA_DIR
 
@@ -124,6 +126,21 @@ def test_load_instance_errors_name_lines(text, line, fragment):
         load_instance(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+def test_too_few_fibres_refuse_a_huge_node_count_in_little_memory():
+    # three fibres cannot connect a million nodes: the loader says so before
+    # it builds an adjacency entry per node
+    text = "nodes 1000000\nedge 1 2\nedge 2 3\nedge 1 3\ndemand 1 2 20\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceError, match="disconnected") as err:
+            load_instance(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 1
+    assert peak < 1_000_000
 
 
 def test_serialize_round_trip():

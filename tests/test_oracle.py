@@ -5,11 +5,18 @@ import pytest
 from conftest import routed_shared_links
 
 import ncpower.oracle as oracle_mod
-from ncpower.coding import COMBO_NAMES, KIND_COMBOS, select_pairs_fixed, select_pairs_osh
+from ncpower.coding import (
+    COMBO_NAMES,
+    EMPTY_ASSIGNMENT,
+    KIND_COMBOS,
+    SelectionResult,
+    select_pairs_fixed,
+    select_pairs_osh,
+)
 from ncpower.errors import OracleGuardError
 from ncpower.model import generate_full_mesh, generate_ring
 from ncpower.oracle import MATCHING_GUARD, optimal_joint, optimal_matching
-from ncpower.power import eval_conventional, eval_with_coding
+from ncpower.power import eval_with_coding
 from ncpower.routing import route_instance
 
 
@@ -24,10 +31,9 @@ def test_fixed_selection_matches_matching_oracle(build, n, combo):
     sel = select_pairs_fixed(inst, routing, combo)
     result = optimal_matching(inst, routing, combos=(combo,))
     heuristic = eval_with_coding(inst, routing, sel.assignment)
-    assert heuristic.p_total == pytest.approx(result.best_power, abs=1e-9)
-    assert heuristic.p_reduction == pytest.approx(
-        eval_with_coding(inst, result.best_routing, result.best_assignment).p_reduction, abs=1e-9
-    )
+    optimum = eval_with_coding(inst, result.routing, result.assignment)
+    assert heuristic.p_total == pytest.approx(optimum.p_total, abs=1e-9)
+    assert heuristic.p_reduction == pytest.approx(optimum.p_reduction, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -39,7 +45,8 @@ def test_osh_matches_matching_oracle_on_rings(n):
     sel = select_pairs_osh(inst, routing)
     result = optimal_matching(inst, routing)
     achieved = eval_with_coding(inst, sel.routing, sel.assignment)
-    assert achieved.p_total == pytest.approx(result.best_power, abs=1e-9)
+    optimum = eval_with_coding(inst, result.routing, result.assignment).p_total
+    assert achieved.p_total == pytest.approx(optimum, abs=1e-9)
     # one candidate pair per demand leaves the joint oracle the same search
     if n <= 7:
         for volume in (20.0, 1 / 3, 0.0):
@@ -53,10 +60,10 @@ def test_matching_oracle_pairs_do_not_depend_on_volume_scale():
     def picked(volume):
         inst = generate_ring(8, volume)
         result = optimal_matching(inst, route_instance(inst), (COMBO_NAMES["pw"],))
-        coded = result.best_assignment.pairs
+        coded = result.assignment.pairs
         return [
             (*p.first, p.second[0], p.first_kind, p.second_kind, shared)
-            for p, shared in zip(coded, routed_shared_links(result.best_routing, coded))
+            for p, shared in zip(coded, routed_shared_links(result.routing, coded))
         ]
 
     assert picked(20.0) == picked(1 / 3)
@@ -71,8 +78,9 @@ def test_oracle_with_no_feasible_pairs_returns_conventional():
     result = optimal_matching(
         inst, routing, combos=((PathKind.PROTECTION, PathKind.PROTECTION),)
     )
-    assert result.best_power == eval_conventional(inst, routing)
-    assert not result.best_assignment.pairs
+    conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
+    assert eval_with_coding(inst, result.routing, result.assignment).p_total == conventional
+    assert not result.assignment.pairs
 
 
 def test_matching_guard_constant():
@@ -93,21 +101,25 @@ def test_joint_oracle_node_guard():
 
 
 def test_joint_oracle_small_rings():
-    result3 = optimal_joint(generate_ring(3, 20.0))
-    conv3 = eval_conventional(generate_ring(3, 20.0), route_instance(generate_ring(3, 20.0)))
-    assert 1 - result3.best_power / conv3 == pytest.approx(1 / 6, abs=1e-12)
+    inst3 = generate_ring(3, 20.0)
+    result3 = optimal_joint(inst3)
+    assert isinstance(result3, SelectionResult)
+    power3 = eval_with_coding(inst3, result3.routing, result3.assignment).p_total
+    conv3 = eval_with_coding(inst3, route_instance(inst3), EMPTY_ASSIGNMENT).p_conventional
+    assert 1 - power3 / conv3 == pytest.approx(1 / 6, abs=1e-12)
 
-    result7 = optimal_joint(generate_ring(7, 20.0))
     inst7 = generate_ring(7, 20.0)
-    conv7 = eval_conventional(inst7, route_instance(inst7))
-    assert (1 - result7.best_power / conv7) * 100 == pytest.approx(30.9524, abs=5e-5)
+    result7 = optimal_joint(inst7)
+    power7 = eval_with_coding(inst7, result7.routing, result7.assignment).p_total
+    conv7 = eval_with_coding(inst7, route_instance(inst7), EMPTY_ASSIGNMENT).p_conventional
+    assert (1 - power7 / conv7) * 100 == pytest.approx(30.9524, abs=5e-5)
 
 
 def test_joint_oracle_reports_exploration():
     result = optimal_joint(generate_full_mesh(4, 20.0))
     assert result.explored > 0
     # every demand still routed after the oracle's candidate swaps
-    routed = {pair.ends for pair in result.best_routing}
+    routed = {pair.ends for pair in result.routing}
     assert routed == {(d.source, d.dest) for d in generate_full_mesh(4, 20.0).demands}
 
 
@@ -127,7 +139,8 @@ def test_joint_oracle_never_below_osh():
         sel = select_pairs_osh(inst, route_instance(inst))
         achieved = eval_with_coding(inst, sel.routing, sel.assignment)
         result = optimal_joint(inst)
-        assert result.best_power <= achieved.p_total + 1e-9
+        optimum = eval_with_coding(inst, result.routing, result.assignment).p_total
+        assert optimum <= achieved.p_total + 1e-9
 
 
 def test_osh_equals_joint_oracle_on_random_instances(random_instances):
@@ -137,7 +150,8 @@ def test_osh_equals_joint_oracle_on_random_instances(random_instances):
     for idx, inst in enumerate(random_instances):
         sel = select_pairs_osh(inst, route_instance(inst))
         achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
-        optimum = optimal_joint(inst).best_power
+        result = optimal_joint(inst)
+        optimum = eval_with_coding(inst, result.routing, result.assignment).p_total
         if achieved != optimum:
             mismatches.append((idx, achieved, optimum))
     assert not mismatches

@@ -21,7 +21,7 @@ from ncpower.coding import (
 )
 from ncpower.errors import ContractError, DomainError
 from ncpower.model import Demand, Instance, PowerParams, generate_full_mesh, generate_ring
-from ncpower.power import eval_conventional, eval_with_coding
+from ncpower.power import eval_with_coding
 from ncpower.routing import route_instance
 
 W, P = PathKind.WORKING, PathKind.PROTECTION
@@ -40,12 +40,14 @@ def test_params_validation():
 
 def test_mesh5_conventional_power():
     inst = generate_full_mesh(5, 20.0)
-    assert eval_conventional(inst, route_instance(inst)) == pytest.approx(32190.0, abs=1e-9)
+    report = eval_with_coding(inst, route_instance(inst), EMPTY_ASSIGNMENT)
+    assert report.p_conventional == pytest.approx(32190.0, abs=1e-9)
 
 
 def test_ring5_conventional_power():
     inst = generate_ring(5, 20.0)
-    assert eval_conventional(inst, route_instance(inst)) == pytest.approx(53650.0, abs=1e-9)
+    report = eval_with_coding(inst, route_instance(inst), EMPTY_ASSIGNMENT)
+    assert report.p_conventional == pytest.approx(53650.0, abs=1e-9)
 
 
 def test_mesh5_coded_power_at_optimum():
@@ -71,7 +73,10 @@ def test_empty_assignment_means_conventional():
     inst = generate_ring(6, 20.0)
     routing = route_instance(inst)
     report = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT)
-    assert report.p_total == report.p_conventional == eval_conventional(inst, routing)
+    k = inst.power.slope_w_per_gbps
+    assert report.p_total == report.p_conventional == k * sum(
+        d.volume * pair.total_hops for d, pair in zip(inst.demands, routing)
+    )
     assert report.p_reduction == 0.0
     assert report.savings_fraction == 0.0
 
@@ -90,8 +95,8 @@ def test_power_is_linear_in_volume(scale):
     scaled = generate_ring(5, 20.0 * scale)
     routing_b = route_instance(base)
     routing_s = route_instance(scaled)
-    assert eval_conventional(scaled, routing_s) == pytest.approx(
-        scale * eval_conventional(base, routing_b), rel=1e-12
+    assert eval_with_coding(scaled, routing_s, EMPTY_ASSIGNMENT).p_conventional == pytest.approx(
+        scale * eval_with_coding(base, routing_b, EMPTY_ASSIGNMENT).p_conventional, rel=1e-12
     )
 
 
@@ -116,9 +121,9 @@ def test_eval_rejects_incomplete_routing():
     inst = generate_ring(4, 20.0)
     routing = list(route_instance(inst))
     with pytest.raises(ContractError, match="no routing"):
-        eval_conventional(inst, routing[:-1])
+        eval_with_coding(inst, routing[:-1], EMPTY_ASSIGNMENT)
     with pytest.raises(ContractError, match="routed twice"):
-        eval_conventional(inst, routing + [routing[0]])
+        eval_with_coding(inst, routing + [routing[0]], EMPTY_ASSIGNMENT)
 
 
 def test_eval_rejects_assignment_off_routing():
