@@ -142,6 +142,7 @@ def uniform_bound(
     Built from structure, not demands: |D| = N(N-1), and the min-hop sum is
     N floor(N^2/4) on a ring and N(N-1) on a full mesh.
     """
+    _require_kind(kind)
     if n < 3:
         raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
     if not 0 <= volume < math.inf:
@@ -152,6 +153,11 @@ def uniform_bound(
 
 
 # -- full mesh ---------------------------------------------------------------
+
+
+def _require_kind(kind: str):
+    if kind not in ("mesh", "ring"):
+        raise DomainError(f"kind {kind!r} is neither 'mesh' nor 'ring'")
 
 
 def _require_size(n: int):
@@ -246,6 +252,7 @@ def closed_form(
     "even") or the ring's RingClass value.  Past the float range both powers
     are infinite, as ``_round`` gives the bounds, and 0 at volume 0.
     """
+    _require_kind(kind)
     if not 0 <= volume < math.inf:
         raise DomainError(f"volume {volume}: closed forms need a finite non-negative volume")
     if kind == "mesh":

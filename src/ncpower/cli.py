@@ -3,7 +3,7 @@
 Subcommands: analyze (power of one instance), bounds (lower bounds and closed
 forms), sweep (savings across topology sizes), repro (reference CSV tables).
 
-Exit codes: 0 ok, 2 usage, 3 bad instance or a generated size past
+Exit codes: 0 ok, 2 usage, 3 bad instance or one to route past
 EVAL_DEMAND_LIMIT, 4 no survivable routing, 5 oracle guard exceeded.
 """
 from __future__ import annotations
@@ -45,17 +45,13 @@ HEURISTICS = ("osh", "ww", "pp", "wp", "pw", "oracle", "conventional")
 
 # routing every demand costs O(demands * nodes); above this many demands the
 # bounds command reports assignment-free bounds and closed forms only, and
-# analyze and sweep refuse a generated size
+# analyze and sweep refuse the instance
 EVAL_DEMAND_LIMIT = 20_000
 
 # every volume of an analyze --sweep prices the one selection over every
 # demand, and every size of a sweep is an instance to route and select; both
 # refuse more than this many points
 SWEEP_POINT_LIMIT = 10_000
-
-# the uniform volume at which a volume sweep selects once; any positive
-# volume selects the same (see _volume_reports)
-REFERENCE_VOLUME = 20.0
 
 POWER_HEADER = ["conventional_w", "total_w", "reduction_w", "savings_pct"]
 
@@ -82,11 +78,11 @@ def _parse_gen(spec: str) -> tuple[str, int]:
         raise InstanceError(f"generator size {size!r} is not an integer") from None
 
 
-def _require_evaluable(kind: str, n: int):
-    """Refuse a generated size whose N(N-1) demands exceed EVAL_DEMAND_LIMIT."""
-    if n * (n - 1) > EVAL_DEMAND_LIMIT:
+def _require_evaluable(what: str, demands: int):
+    """Refuse an instance of more than EVAL_DEMAND_LIMIT demands before it is routed."""
+    if demands > EVAL_DEMAND_LIMIT:
         raise InstanceError(
-            f"{kind}:{n} has {n * (n - 1)} demands, more than the {EVAL_DEMAND_LIMIT} "
+            f"{what} has {demands} demands, more than the {EVAL_DEMAND_LIMIT} "
             f"that are routed and evaluated (EVAL_DEMAND_LIMIT); bounds answers any size"
         )
 
@@ -131,10 +127,13 @@ def _load_file(path: str, volume: float | None, power_text: str | None) -> Insta
 def _build_instance(args, volume: float | None) -> Instance:
     if args.gen:
         kind, n = _parse_gen(args.gen)
-        _require_evaluable(kind, n)
+        # N(N-1) is checked before the demands are built
+        _require_evaluable(f"{kind}:{n}", n * (n - 1))
         power = _parse_power(args.power)
         return _generate(kind, n, DEFAULT_VOLUME if volume is None else volume, power)
-    return _load_file(args.instance, volume, args.power)
+    instance = _load_file(args.instance, volume, args.power)
+    _require_evaluable(f"instance {args.instance}", len(instance.demands))
+    return instance
 
 
 def _selections(instance: Instance, heuristics: Sequence[str], budget: int) -> list[SelectionResult]:
@@ -172,12 +171,13 @@ def _volume_reports(
 
     At a uniform volume V > 0 every demand weighs one volume unit, so the
     routing, the candidate pools, the matchings and the oracle's search are
-    the same for every such V.  The selections are made once, at
-    REFERENCE_VOLUME, and ``eval_with_coding`` prices them at each volume.
+    the same for every such V.  So the selections are made once, at
+    DEFAULT_VOLUME (any positive uniform volume selects the same), and
+    ``eval_with_coding`` prices them at each volume.
     At V = 0 every demand and every coded pair prices to 0 W, as in a fresh
     run at that volume.
     """
-    selections = _selections(_with_volume(instance, REFERENCE_VOLUME), heuristics, budget)
+    selections = _selections(_with_volume(instance, DEFAULT_VOLUME), heuristics, budget)
     for volume in volumes:
         at = _with_volume(instance, volume)
         yield volume, [eval_with_coding(at, s.routing, s.assignment) for s in selections]
@@ -393,7 +393,7 @@ def _repro_volume_table(kind: str) -> tuple[list[str], list[list[str]]]:
     header = ["volume_gbps", "conventional_w", "nc_analytic_w", "nc_oracle_w", "osh_w"]
     params = PowerParams()
     volumes = [float(v) for v in range(20, 201, 20)]
-    instance = _generate(kind, 5, REFERENCE_VOLUME, params)
+    instance = _generate(kind, 5, DEFAULT_VOLUME, params)
     rows = []
     reports = _volume_reports(instance, volumes, ["oracle", "osh"], CANDIDATE_BUDGET)
     for volume, (oracle, osh) in reports:

@@ -10,9 +10,9 @@ the reference tables under tests/data/) are reproducible bit-for-bit:
 The candidates of each ordered (source, dest) come from one walk per
 topology.  Its record, kept with the topology beside the distance tables,
 holds the minimum total, the pairs found so far and whether the walk has run
-out.  A call that needs more pairs resumes the walk after the last pair found:
-the walk yields in strict lex order, so what it meets after that pair is what
-a fresh walk meets after it, and every budget gets the same first k pairs.
+out.  A call that needs more pairs walks again and skips every pair up to the
+last one found: the walk yields in strict lex order, so the skip is exact and
+every budget gets the same first k pairs.
 Paths keep only their node tuples; their link views are rebuilt on each read.
 """
 from __future__ import annotations
@@ -124,11 +124,11 @@ class _PairWalk:
     """The candidate walk of one ordered (s, t), as far as it has gone.
 
     ``total`` is the minimum disjoint-pair total, ``pairs`` the optimal
-    pairs found so far in lex order, and ``done`` says
-    the walk has run out.  The last pair alone marks where the walk stopped,
-    so no generator or reduced adjacency is kept between calls.  ``more``
-    says whether the last working path W* has a protection after the last
-    protection P*: the walk looked one pair ahead before it stopped.
+    pairs found so far in lex order, and ``done`` says the walk has run out.
+    The last pair (W*, P*) alone marks where a resume skips to, so no
+    generator or reduced adjacency is kept between calls.  ``more`` says
+    whether W* has a protection after P*: the walk looked one pair ahead
+    before it stopped.
     """
 
     total: int
@@ -189,7 +189,6 @@ def _simple_paths_upto(
     source: int,
     dest: int,
     max_hops: int,
-    after: tuple[int, ...] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Simple source->dest paths of at most max_hops hops, yielded in lex order.
 
@@ -199,29 +198,14 @@ def _simple_paths_upto(
     ``adjacency``, prunes every branch that cannot reach dest within the hops
     left.  The paths are produced lazily, so a caller that stops early pays
     only for the paths it consumed.
-
-    ``after``, a path this walk yields, resumes the walk strictly after it:
-    the stack is rebuilt along ``after`` with each level's neighbour iterator
-    advanced past the next node, which is where the walk stood when it
-    yielded ``after``.
     """
     if dist_to_dest.get(source, max_hops + 1) > max_hops:
         return
     # explicit stack of neighbour iterators: recursing would overflow on paths
     # hundreds of hops deep, e.g. the far arc of a large ring
-    if after is None:
-        path = [source]
-        stack = [iter(adjacency[source])]
-    else:
-        path = list(after[:-1])
-        stack = []
-        for node, nxt in zip(after, after[1:]):
-            neighbours = iter(adjacency[node])
-            for nb in neighbours:
-                if nb == nxt:
-                    break
-            stack.append(neighbours)
-    on_path = set(path)
+    path = [source]
+    on_path = {source}
+    stack = [iter(adjacency[source])]
     while stack:
         budget = max_hops - len(path) + 1
         for nb in stack[-1]:
@@ -254,42 +238,36 @@ def _without_fibres(
 def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int) -> None:
     """Extend ``walk`` until it holds k pairs or has run out.
 
-    A walk that stopped did so right after its last pair (W*, P*), so it
-    resumes with the protection paths after P* in the graph without W*'s
-    fibres, then with the working paths after W*.  The first part runs only
-    when ``walk.more`` is set: at the k-th pair the inner walk draws once
-    more, while its reduced graph and BFS are at hand, and records whether
-    a further protection exists.  It follows shortest paths of that graph
-    only, so the extra draw costs at most one path; on a ring, where every
-    W has one protection, it spares each resume a reduced graph and a BFS.
+    Working paths W are walked outside, protections P inside.  A walk that
+    stopped did so right after its last pair (W*, P*), so a resume walks
+    again from the source and skips every pair up to (W*, P*): a W before W*
+    costs its DFS steps only, and W* is entered again, for the P after P*,
+    only when ``walk.more`` is set.  At the k-th pair the inner walk draws
+    once more, while its reduced graph and BFS are at hand, and records in
+    ``more`` whether a further P exists; on a ring, where every W has one P,
+    this spares each resume a reduced graph and a BFS.
     """
     adjacency = topology.adjacency
     pairs = walk.pairs
-
-    def pair_with(working: tuple[int, ...], after: tuple[int, ...] | None = None) -> bool:
-        """Append working's pairs after ``after``; True once there are k."""
+    last_w, last_p = (pairs[-1].working.nodes, pairs[-1].protection.nodes) if pairs else ((), ())
+    for working in _simple_paths_upto(
+        adjacency, topology.distances_to(dest), source, dest, walk.total // 2
+    ):
+        if working < last_w or (working == last_w and not walk.more):
+            continue
+        after = last_p if working == last_w else ()
         reduced = _without_fibres(adjacency, working)
         for protection in _simple_paths_upto(
-            reduced, _bfs_dist(reduced, dest), source, dest, walk.total - len(working) + 1, after
+            reduced, _bfs_dist(reduced, dest), source, dest, walk.total - len(working) + 1
         ):
-            if len(protection) == len(working) and protection < working:
+            if protection <= after or (len(protection) == len(working) and protection < working):
                 continue
             if len(pairs) == k:
                 walk.more = True
-                return True
+                return
             pairs.append(PathPair(Path(working), Path(protection)))
         walk.more = False
-        return len(pairs) == k
-
-    last_working = None
-    if pairs:
-        last_working, last_protection = pairs[-1].working.nodes, pairs[-1].protection.nodes
-        if walk.more and pair_with(last_working, last_protection):
-            return
-    for working in _simple_paths_upto(
-        adjacency, topology.distances_to(dest), source, dest, walk.total // 2, last_working
-    ):
-        if pair_with(working):
+        if len(pairs) == k:
             return
     walk.done = True
 
@@ -322,10 +300,9 @@ def disjoint_pair_candidates(
     the oracle's share them.  The walk's record is kept with the topology,
     keyed by the endpoints alone so that volume sweeps share it too.  A call
     for no more pairs than it holds, or for any number once the walk has run
-    out, reads them; a call for more resumes the walk after the last pair.
-    Both loops yield in strict lex order, so the walk resumed after
-    (W*, P*) meets exactly the pairs a fresh walk meets after it, and the
-    first k pairs are the same whatever budgets came before.  The pairs
+    out, reads them; a call for more walks again and skips every pair up to
+    the last one, (W*, P*), in lex order (see ``_walk_on``), so the first k
+    pairs are the same whatever budgets came before.  The pairs
     carry no volume, so every call shares the walk's ``PathPair``s; each
     returns them in a fresh list, which the caller may extend.  A pair that
     does not exist raises on every call; errors are not kept.

@@ -12,6 +12,7 @@ from conftest import exact_bounds, random_survivable_instance, shared_hops_by_de
 from ncpower.bounds import (
     RingClass,
     bound_nc,
+    closed_form,
     mesh_fluctuation,
     mesh_power,
     mesh_savings_fraction,
@@ -214,6 +215,15 @@ def test_uniform_bound_rejects_bad_inputs():
     for volume in (-1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             uniform_bound("mesh", 5, volume)
+
+
+def test_closed_forms_reject_an_unknown_kind():
+    # neither a torus nor a miscased ring may answer as a mesh or a ring
+    for kind in ("torus", "Ring", "MESH", ""):
+        with pytest.raises(DomainError, match=repr(kind)):
+            closed_form(kind, 6, 20.0)
+        with pytest.raises(DomainError, match=repr(kind)):
+            uniform_bound(kind, 6, 20.0)
 
 
 def test_bounds_past_the_float_range_are_infinite():

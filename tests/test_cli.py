@@ -14,7 +14,7 @@ from conftest import DATA_DIR, grid_topology
 from ncpower import cli
 from ncpower.cli import EVAL_DEMAND_LIMIT, SWEEP_POINT_LIMIT, _require_evaluable, _sweep_volumes
 from ncpower.errors import InstanceError
-from ncpower.model import Demand, Instance, _bfs_dist, serialize_instance
+from ncpower.model import Demand, Instance, _bfs_dist, generate_ring, serialize_instance
 
 GOLDEN = {
     "mesh-volume": DATA_DIR / "mesh_volume.csv",
@@ -144,9 +144,9 @@ def test_generated_size_guard_exit_3():
     proc, _ = run_cli_timed("sweep", "--gen", "ring:3:100001:99998")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1].startswith("100001,odd-2,")
-    _require_evaluable("ring", 141)  # 19,740 demands
+    _require_evaluable("ring:141", 141 * 140)  # 19,740 demands
     with pytest.raises(InstanceError):
-        _require_evaluable("mesh", 142)  # 20,022 demands
+        _require_evaluable("mesh:142", 142 * 141)  # 20,022 demands
 
 
 class _Generated(Exception):
@@ -169,6 +169,22 @@ def test_sweep_demand_guard_sums_every_size(monkeypatch, capsys):
     # ring:3:30 (8,988 demands) passes the guard and reaches generation
     with pytest.raises(_Generated):
         cli.main(["sweep", "--gen", "ring:3:30", "--heuristic", "osh"])
+
+
+def test_instance_file_demand_guard(monkeypatch, capsys, tmp_path):
+    # a file counts its demands like a generated size, after loading and
+    # before any routing; bounds still answers with the evaluation skipped
+    path = tmp_path / "ring143.net"
+    path.write_text(serialize_instance(generate_ring(143)), encoding="utf-8")
+    monkeypatch.setattr(cli, "route_instance", _refuse_generation)
+    for argv in (["analyze"], ["analyze", "--sweep", "20:40:20"]):
+        assert cli.main([*argv, "--instance", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "20306 demands" in captured.err
+        assert "EVAL_DEMAND_LIMIT" in captured.err
+    assert cli.main(["bounds", "--instance", str(path)]) == 0
+    assert "achieved_power: skipped (20306 demands exceed" in capsys.readouterr().out
 
 
 def test_sweep_oracle_guard_up_front(capsys):

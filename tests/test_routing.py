@@ -429,6 +429,33 @@ def test_look_ahead_resumes_the_inner_walk_when_it_found_more(monkeypatch):
     assert pool == disjoint_pair_candidates(grid_topology(3, 3), d, 8)[:2]
 
 
+def test_resume_builds_again_only_a_last_working_path_with_more(monkeypatch):
+    # budgets 1..8 asked in turn build the reduced graphs of one fresh k=8
+    # walk, plus W* once more for each resume whose look-ahead found more;
+    # a working path skipped on the way to W* builds none
+    working_paths = _recording_without_fibres(monkeypatch)
+    all_repeats = 0
+    for rows, cols in ((3, 3), (4, 4), (4, 5)):
+        n = rows * cols
+        corners = (1, cols, n - cols + 1, n)
+        for s, t in itertools.permutations(corners, 2):
+            d = Demand(s, t, 1.0)
+            working_paths.clear()
+            disjoint_pair_candidates(grid_topology(rows, cols), d, 8)
+            fresh = len(working_paths)
+            topo = grid_topology(rows, cols)
+            working_paths.clear()
+            repeats = 0
+            for k in range(1, 9):
+                walk = topo._pair_walks.get((s, t))
+                # a walk with more has not run out, and holds k - 1 pairs
+                repeats += walk is not None and walk.more
+                disjoint_pair_candidates(topo, d, k)
+            assert len(working_paths) == fresh + repeats
+            all_repeats += repeats
+    assert all_repeats > 0
+
+
 def test_volume_sweep_keeps_one_walk_per_ordered_pair(monkeypatch, capsys):
     topologies = []
     real = cli.route_instance
