@@ -139,9 +139,12 @@ def _build_instance(args, volume: float | None) -> Instance:
 def _selections(instance: Instance, heuristics: Sequence[str], budget: int) -> list[SelectionResult]:
     """Route the instance once, then run each heuristic's selection in order.
 
-    Nothing is priced here.
+    With ``osh`` or ``oracle`` the routing walks each demand's pool of
+    ``budget`` pairs, so their candidate calls only read it.  Nothing is
+    priced here.
     """
-    routing = route_instance(instance)
+    pooled = "osh" in heuristics or "oracle" in heuristics
+    routing = route_instance(instance, budget if pooled else 1)
     selections = []
     for name in heuristics:
         if name == "conventional":

@@ -9,10 +9,9 @@ the reference tables under tests/data/) are reproducible bit-for-bit:
 
 The candidates of each ordered (source, dest) come from one walk per
 topology.  Its record, kept with the topology beside the distance tables,
-holds the minimum total, the pairs found so far and whether the walk has run
-out.  A call that needs more pairs walks again and skips every pair up to the
-last one found: the walk yields in strict lex order, so the skip is exact and
-every budget gets the same first k pairs.
+holds the minimum total, the pairs found and whether the walk has run out.
+Routing walks each demand to the selectors' budget, so their calls only read
+the record.
 Paths keep only their node tuples; their link views are rebuilt on each read.
 """
 from __future__ import annotations
@@ -123,18 +122,13 @@ def shortest_path(topology: Topology, source: int, dest: int) -> Path:
 class _PairWalk:
     """The candidate walk of one ordered (s, t), as far as it has gone.
 
-    ``total`` is the minimum disjoint-pair total, ``pairs`` the optimal
-    pairs found so far in lex order, and ``done`` says the walk has run out.
-    The last pair (W*, P*) alone marks where a resume skips to, so no
-    generator or reduced adjacency is kept between calls.  ``more`` says
-    whether W* has a protection after P*: the walk looked one pair ahead
-    before it stopped.
+    ``total`` is the minimum disjoint-pair total, ``pairs`` the first
+    optimal pairs in lex order, and ``done`` says the walk has run out.
     """
 
     total: int
     pairs: list[PathPair] = field(default_factory=list)
     done: bool = False
-    more: bool = False
 
 
 def _suurballe_total(topology: Topology, source: int, dest: int) -> int:
@@ -236,39 +230,24 @@ def _without_fibres(
 
 
 def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int) -> None:
-    """Extend ``walk`` until it holds k pairs or has run out.
+    """Walk from the source until ``walk`` holds the first k pairs or has run out.
 
-    Working paths W are walked outside, protections P inside.  A walk that
-    stopped did so right after its last pair (W*, P*), so a resume walks
-    again from the source and skips every pair up to (W*, P*): a W before W*
-    costs its DFS steps only, and W* is entered again, for the P after P*,
-    only when ``walk.more`` is set.  At the k-th pair the inner walk draws
-    once more, while its reduced graph and BFS are at hand, and records in
-    ``more`` whether a further P exists; on a ring, where every W has one P,
-    this spares each resume a reduced graph and a BFS.
+    Working paths W are walked outside, protections P inside.
     """
     adjacency = topology.adjacency
-    pairs = walk.pairs
-    last_w, last_p = (pairs[-1].working.nodes, pairs[-1].protection.nodes) if pairs else ((), ())
+    pairs = walk.pairs = []
     for working in _simple_paths_upto(
         adjacency, topology.distances_to(dest), source, dest, walk.total // 2
     ):
-        if working < last_w or (working == last_w and not walk.more):
-            continue
-        after = last_p if working == last_w else ()
         reduced = _without_fibres(adjacency, working)
         for protection in _simple_paths_upto(
             reduced, _bfs_dist(reduced, dest), source, dest, walk.total - len(working) + 1
         ):
-            if protection <= after or (len(protection) == len(working) and protection < working):
+            if len(protection) == len(working) and protection < working:
                 continue
-            if len(pairs) == k:
-                walk.more = True
-                return
             pairs.append(PathPair(Path(working), Path(protection)))
-        walk.more = False
-        if len(pairs) == k:
-            return
+            if len(pairs) == k:
+                return
     walk.done = True
 
 
@@ -296,16 +275,16 @@ def disjoint_pair_candidates(
     returned, not to the number of all paths in the graph.
 
     The Suurballe search and the walk of each ordered (source, dest) run
-    once per topology, so the routing call, the selector's wider pool and
-    the oracle's share them.  The walk's record is kept with the topology,
-    keyed by the endpoints alone so that volume sweeps share it too.  A call
-    for no more pairs than it holds, or for any number once the walk has run
-    out, reads them; a call for more walks again and skips every pair up to
-    the last one, (W*, P*), in lex order (see ``_walk_on``), so the first k
-    pairs are the same whatever budgets came before.  The pairs
-    carry no volume, so every call shares the walk's ``PathPair``s; each
-    returns them in a fresh list, which the caller may extend.  A pair that
-    does not exist raises on every call; errors are not kept.
+    once per topology: ``route_instance`` walks to the selectors' budget, so
+    the selector's pool and the oracle's read what the routing call found.
+    The walk's record is kept with the topology, keyed by the endpoints alone
+    so that volume sweeps share it too.  A call for no more pairs than it
+    holds, or for any number once the walk has run out, reads them; a call
+    for more walks afresh, and the walk is deterministic, so the first k
+    pairs are the same whatever budgets came before.  The pairs carry no
+    volume, so every call shares the walk's ``PathPair``s; each returns them
+    in a fresh list, which the caller may extend.  A pair that does not
+    exist raises on every call; errors are not kept.
     """
     if k < 1:
         raise ContractError("candidate budget must be at least 1")
@@ -324,9 +303,14 @@ def suurballe_pair(topology: Topology, demand: Demand) -> PathPair:
     return disjoint_pair_candidates(topology, demand, k=1)[0]
 
 
-def route_instance(instance: Instance) -> tuple[PathPair, ...]:
-    """Canonical 1+1 routing: suurballe_pair for every demand, in demand order."""
-    return tuple(suurballe_pair(instance.topology, d) for d in instance.demands)
+def route_instance(instance: Instance, budget: int = CANDIDATE_BUDGET) -> tuple[PathPair, ...]:
+    """Canonical 1+1 routing: suurballe_pair for every demand, in demand order.
+
+    Each demand's walk runs to ``budget`` pairs, the pool a selector or the
+    oracle reads next; its first pair, the routing, does not depend on it.
+    """
+    topology = instance.topology
+    return tuple(disjoint_pair_candidates(topology, d, budget)[0] for d in instance.demands)
 
 
 def index_routing(instance: Instance, routing: Iterable[PathPair]) -> dict[Demand, PathPair]:

@@ -368,9 +368,9 @@ def test_each_instance_is_routed_once(argv, routes, monkeypatch, capsys):
     real_route = cli.route_instance
     calls = []
 
-    def counting_route(instance):
+    def counting_route(instance, *args):
         calls.append(instance)
-        return real_route(instance)
+        return real_route(instance, *args)
 
     monkeypatch.setattr(cli, "route_instance", counting_route)
     assert cli.main(argv) == 0

@@ -27,6 +27,7 @@ from ncpower.model import (
     generate_full_mesh,
     generate_ring,
     load_instance,
+    serialize_instance,
     undirected,
 )
 from ncpower.routing import (
@@ -358,23 +359,30 @@ def test_pair_total_searched_once_per_ordered_pair(monkeypatch):
 
 
 def test_resumed_walk_equals_fresh_walk():
-    # one topology asked with budgets 1, 2, 5, 3, 8 resumes or reads its walk;
-    # each answer is a prefix of a fresh k=8 walk on a new topology
+    # one topology asked with budgets 1, 2, 5, 3, 8 walks again or reads its
+    # walk; each answer is a prefix of a fresh k=8 walk on a new topology, and
+    # routing at any budget gives the head of that walk
     rng = random.Random(20261018)
     graphs = [random_survivable_instance(rng, n_lo=5, n_hi=8).topology for _ in range(12)]
     graphs += [grid_topology(3, 4), grid_topology(4, 4), grid_topology(4, 5)]
     resumed = 0
     for topo in graphs:
         n = topo.node_count
-        for s, t in itertools.permutations(range(1, n + 1), 2):
-            d = Demand(s, t, 1.0)
+        demands = tuple(Demand(s, t, 1.0) for s, t in itertools.permutations(range(1, n + 1), 2))
+        heads = []
+        for d in demands:
+            s, t = d.source, d.dest
             fresh = disjoint_pair_candidates(Topology(n, topo.undirected_edges), d, 8)
+            heads.append(fresh[0])
             for k in (1, 2, 5, 3, 8):
                 cands = disjoint_pair_candidates(topo, d, k)
                 assert cands == fresh[:k]
             resumed += len(fresh) > 5
             pairs = [(c.working.nodes, c.protection.nodes) for c in cands]
             assert pairs == brute_min_pairs(topo, s, t)[:8]
+        for k in (1, 3, 8):
+            routed = route_instance(model.Instance(Topology(n, topo.undirected_edges), demands), k)
+            assert routed == tuple(heads)
     assert resumed > 0
 
 
@@ -407,62 +415,43 @@ def _recording_without_fibres(monkeypatch) -> list[tuple[int, ...]]:
 
 
 def test_ring_walk_builds_one_reduced_graph_per_ordered_pair(monkeypatch):
-    # a ring demand has one optimal pair; the look-ahead at k=1 finds no
-    # second protection, so the k=8 pool goes straight to the outer walk
+    # a ring demand has one optimal pair, whose working path is the only
+    # one short enough, so routing and the k=8 pool share one reduced graph
     working_paths = _recording_without_fibres(monkeypatch)
     inst = generate_ring(9)
     select_pairs_osh(inst, route_instance(inst))
     assert len(working_paths) == 9 * 8
 
 
-def test_look_ahead_resumes_the_inner_walk_when_it_found_more(monkeypatch):
-    # on the 3x3 grid, 1 -> 9, working path 1-2-3-6-9 has two protections
-    topo = grid_topology(3, 3)
-    d = Demand(1, 9, 1.0)
-    disjoint_pair_candidates(topo, d, 1)
-    assert topo._pair_walks[(1, 9)].more
+@pytest.mark.parametrize("argv,budget", [
+    (["--heuristic", "osh"], 8),
+    (["--heuristic", "osh", "--budget", "3"], 3),
+    (["--heuristic", "conventional"], 1),
+])
+def test_cli_walks_each_ordered_pair_once(argv, budget, monkeypatch, capsys, tmp_path):
+    # every node of the 3x3 grid sends to the corners 1 and 9; working path
+    # 1-2-3-6-9 of 1 -> 9 has two protections, so a k=1 walk extended to the
+    # pool would build its reduced graph twice
+    demands = tuple(Demand(s, t, 20.0) for t in (1, 9) for s in range(1, 10) if s != t)
+    path = tmp_path / "grid3.net"
+    path.write_text(serialize_instance(model.Instance(grid_topology(3, 3), demands)))
     working_paths = _recording_without_fibres(monkeypatch)
-    pool = disjoint_pair_candidates(topo, d, 2)
-    assert working_paths == [(1, 2, 3, 6, 9)]
-    assert [p.working.nodes for p in pool] == [(1, 2, 3, 6, 9)] * 2
-    assert not topo._pair_walks[(1, 9)].more
-    assert pool == disjoint_pair_candidates(grid_topology(3, 3), d, 8)[:2]
-
-
-def test_resume_builds_again_only_a_last_working_path_with_more(monkeypatch):
-    # budgets 1..8 asked in turn build the reduced graphs of one fresh k=8
-    # walk, plus W* once more for each resume whose look-ahead found more;
-    # a working path skipped on the way to W* builds none
-    working_paths = _recording_without_fibres(monkeypatch)
-    all_repeats = 0
-    for rows, cols in ((3, 3), (4, 4), (4, 5)):
-        n = rows * cols
-        corners = (1, cols, n - cols + 1, n)
-        for s, t in itertools.permutations(corners, 2):
-            d = Demand(s, t, 1.0)
-            working_paths.clear()
-            disjoint_pair_candidates(grid_topology(rows, cols), d, 8)
-            fresh = len(working_paths)
-            topo = grid_topology(rows, cols)
-            working_paths.clear()
-            repeats = 0
-            for k in range(1, 9):
-                walk = topo._pair_walks.get((s, t))
-                # a walk with more has not run out, and holds k - 1 pairs
-                repeats += walk is not None and walk.more
-                disjoint_pair_candidates(topo, d, k)
-            assert len(working_paths) == fresh + repeats
-            all_repeats += repeats
-    assert all_repeats > 0
+    for d in demands:
+        disjoint_pair_candidates(grid_topology(3, 3), d, budget)
+    fresh = list(working_paths)
+    working_paths.clear()
+    assert cli.main(["analyze", "--instance", str(path), *argv]) == 0
+    assert capsys.readouterr().out
+    assert sorted(working_paths) == sorted(fresh)
 
 
 def test_volume_sweep_keeps_one_walk_per_ordered_pair(monkeypatch, capsys):
     topologies = []
     real = cli.route_instance
 
-    def recording(instance):
+    def recording(instance, *args):
         topologies.append(instance.topology)
-        return real(instance)
+        return real(instance, *args)
 
     monkeypatch.setattr(cli, "route_instance", recording)
     assert cli.main(["analyze", "--gen", "ring:7", "--sweep", "10:50:10"]) == 0
