@@ -17,10 +17,12 @@ A pair weighs min(u1, u2) times its shared links, u being each demand's volume
 in exact integer units, and the blossom algorithm matches every cluster.
 
 Shared links are counted on bit masks.  Each cluster numbers its own directed
-links, so a candidate path is an ``int`` and two paths share
-``(m1 & m2).bit_count()`` links; a demand scores the masks of every later
-demand of its cluster as one row.  The masks live only while their cluster is
-scored.
+links, so a candidate path is an ``int`` built from its node sequence and two
+paths share ``(m1 & m2).bit_count()`` links.  The weights come first: a demand
+scores the masks of every later demand of its cluster as one row and keeps
+only each pair's most shared links.  Which candidates and kinds win is found
+again only for the pairs the matching returns, at most n/2 per cluster.  A
+cluster's pools and masks live only while it is scored.
 
 A selection carries no volume: coded pairs name their demands by
 (source, dest), and path pairs have no demand.  At any uniform V > 0 every
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ContractError, FeasibilityError
 from .matching import max_weight_matching
@@ -41,13 +43,15 @@ from .routing import CANDIDATE_BUDGET, PathKind, PathPair, disjoint_pair_candida
 
 _W = PathKind.WORKING
 _P = PathKind.PROTECTION
+# the kinds by their index in the selectors' per-kind lists
+_KINDS = (_W, _P)
 # order is the deterministic tie-break among equal-benefit combos
 KIND_COMBOS: tuple[tuple[PathKind, PathKind], ...] = ((_W, _W), (_W, _P), (_P, _W), (_P, _P))
 
 COMBO_NAMES = {"ww": (_W, _W), "wp": (_W, _P), "pw": (_P, _W), "pp": (_P, _P)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodedPair:
     """One encoded demand pair: which path of each is XORed, and where."""
 
@@ -99,7 +103,7 @@ class SelectionResult:
     routing: tuple[PathPair, ...]
 
 
-def _clusters(demands: Sequence[Demand]) -> dict[int, tuple[Demand, ...]]:
+def clusters(demands: Sequence[Demand]) -> dict[int, tuple[Demand, ...]]:
     """Demands grouped by destination, sources ascending."""
     by_dest: dict[int, list[Demand]] = {}
     for d in demands:
@@ -125,7 +129,7 @@ def max_weight_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[tuple[
 # -- selectors ---------------------------------------------------------------
 
 
-def _volume_units(demands: Sequence[Demand]) -> dict[Demand, int]:
+def volume_units(demands: Sequence[Demand]) -> dict[Demand, int]:
     """Volumes as ints in exact proportion: equal volumes get 1, all-zero stay 0.
 
     Each volume p/q is scaled to the largest q, a common denominator since
@@ -142,7 +146,7 @@ def _select(
     instance: Instance,
     routing: dict[Demand, PathPair],
     combos: Sequence[tuple[PathKind, PathKind]],
-    pools: dict[Demand, list[PathPair]],
+    pool_of: Callable[[Demand], list[PathPair]],
 ) -> SelectionResult:
     """Per-cluster max-weight matching over per-pair-maximised weights.
 
@@ -152,73 +156,85 @@ def _select(
     Matched demands adopt the candidates of their pair's maximum; unmatched
     demands keep ``routing``.  The result lists demands in instance order.
 
-    Each cluster numbers its own directed links, so every candidate path is
-    an ``int`` bit mask and a shared-link count is ``(m1 & m2).bit_count()``.
-    A (demand, kind) keeps its distinct masks, the first pool index winning,
-    laid out per kind in source order.  Demand i then scores, for each combo
-    and each of its own masks, the whole row of masks of the demands after
-    it in one pass, keeping each demand's first maximum.  That visits every
-    pair in combo, own-mask, other-mask order, which is the tie-break above.
-    Only the non-zero scores of a row are read, since a zero never wins.
-    Each pick keeps its shared-link count, which its coded pair records.
+    Each cluster reads its pools from ``pool_of`` just before it is scored
+    and numbers its own directed links, so every candidate path is an
+    ``int`` bit mask built from its nodes, and two paths share
+    ``(m1 & m2).bit_count()`` links.  For each kind the combos use (0
+    working, 1 protection), a demand keeps its distinct masks, the first pool
+    index winning, laid out in source order.  Weights come first: demand i
+    scores, for each combo and each of its own masks, the row of masks of
+    the demands after it in one pass, reading only the non-zero scores, and
+    keeps each later demand's most shared links.  Winners come second, for
+    the matched pairs alone: their masks are visited again in combo,
+    own-mask, other-mask order, keeping the first maximum, which is the
+    tie-break above and the count its coded pair records.
     """
-    units = _volume_units(instance.demands)
+    units = volume_units(instance.demands)
+    combos = [(_KINDS.index(a), _KINDS.index(b)) for a, b in combos]
+    kinds = sorted({kind for combo in combos for kind in combo})
     new_routing = dict(routing)
     chosen: list[CodedPair] = []
-    for demands in _clusters(instance.demands).values():
+    for demands in clusters(instance.demands).values():
         n = len(demands)
+        pools = [pool_of(d) for d in demands]
         bit: dict[Link, int] = {}
-        # per kind, flat in source order: masks, owning demand, pool index,
-        # and where each demand's masks start (starts[n] is the end)
-        masks: dict[PathKind, list[int]] = {_W: [], _P: []}
-        owners: dict[PathKind, list[int]] = {_W: [], _P: []}
-        indices: dict[PathKind, list[int]] = {_W: [], _P: []}
-        starts: dict[PathKind, list[int]] = {_W: [], _P: []}
-        for i, d in enumerate(demands):
-            for kind in (_W, _P):
+        # per kind, flat in source order: masks, pool index, owning demand,
+        # and where each demand's masks start (starts[kind][n] is the end)
+        masks, indices, owners, starts = ([], []), ([], []), ([], []), ([], [])
+        for kind in kinds:
+            for i, pool in enumerate(pools):
                 starts[kind].append(len(masks[kind]))
                 first: dict[int, int] = {}
-                for idx, pair in enumerate(pools[d]):
+                last = None
+                for idx, pair in enumerate(pool):
+                    path = pair.protection if kind else pair.working
+                    if path is last:
+                        continue  # candidates share their working path's object
+                    last = path
+                    nodes = path.nodes
                     mask = 0
-                    for link in pair.path(kind).links:
+                    for link in zip(nodes, nodes[1:]):
                         mask |= 1 << bit.setdefault(link, len(bit))
                     first.setdefault(mask, idx)
                 masks[kind].extend(first)
                 indices[kind].extend(first.values())
                 owners[kind].extend([i] * len(first))
-        for kind in (_W, _P):
             starts[kind].append(len(masks[kind]))
 
         cluster_units = [units[d] for d in demands]
         weights: dict[tuple[int, int], int] = {}
-        # (combo, own mask index, other mask index, shared links)
-        picks: dict[tuple[int, int], tuple[tuple[PathKind, PathKind], int, int, int]] = {}
         for i in range(n - 1):
             best = [0] * n
-            pick: list[tuple[tuple[PathKind, PathKind], int, int, int] | None] = [None] * n
-            for combo in combos:
-                own, other = masks[combo[0]], masks[combo[1]]
-                owner = owners[combo[1]]
-                row_start = starts[combo[1]][i + 1]
-                row = other[row_start:]
-                for p1 in range(starts[combo[0]][i], starts[combo[0]][i + 1]):
-                    m1 = own[p1]
+            for a, b in combos:
+                row_start = starts[b][i + 1]
+                row = masks[b][row_start:]
+                row_owners = owners[b][row_start:]
+                for m1 in masks[a][starts[a][i] : starts[a][i + 1]]:
                     scores = [(m1 & m2).bit_count() for m2 in row]
                     if not any(scores):
                         continue
-                    for q, shared in compress(enumerate(scores, row_start), scores):
-                        if shared > best[owner[q]]:
-                            best[owner[q]] = shared
-                            pick[owner[q]] = (combo, p1, q, shared)
+                    for j, shared in compress(zip(row_owners, scores), scores):
+                        if shared > best[j]:
+                            best[j] = shared
+            unit = cluster_units[i]
             for j in compress(range(i + 1, n), best[i + 1 :]):
-                weights[(i, j)] = min(cluster_units[i], cluster_units[j]) * best[j]
-                picks[(i, j)] = pick[j]
+                weights[(i, j)] = min(unit, cluster_units[j]) * best[j]
+
         for i, j in max_weight_pairs(n, weights):
-            d1, d2 = demands[i], demands[j]
-            combo, p1, q, shared = picks[(i, j)]
-            new_routing[d1] = first_pair = pools[d1][indices[combo[0]][p1]]
-            new_routing[d2] = second_pair = pools[d2][indices[combo[1]][q]]
-            chosen.append(CodedPair(first_pair.ends, second_pair.ends, combo[0], combo[1], shared))
+            shared = 0
+            for a, b in combos:
+                for p in range(starts[a][i], starts[a][i + 1]):
+                    m1 = masks[a][p]
+                    for q in range(starts[b][j], starts[b][j + 1]):
+                        hits = (m1 & masks[b][q]).bit_count()
+                        if hits > shared:
+                            shared, win = hits, (a, b, p, q)
+            a, b, p, q = win
+            new_routing[demands[i]] = first_pair = pools[i][indices[a][p]]
+            new_routing[demands[j]] = second_pair = pools[j][indices[b][q]]
+            chosen.append(
+                CodedPair(first_pair.ends, second_pair.ends, _KINDS[a], _KINDS[b], shared)
+            )
 
     final = tuple(new_routing[d] for d in instance.demands)
     return SelectionResult(CodingAssignment(tuple(chosen)), final)
@@ -231,8 +247,7 @@ def select_pairs_fixed(
 ) -> SelectionResult:
     """Best matching for a single kind combo on the given routing (no re-routing)."""
     by_demand = index_routing(instance, routing)
-    pools = {d: [pair] for d, pair in by_demand.items()}
-    return _select(instance, by_demand, (combo,), pools)
+    return _select(instance, by_demand, (combo,), lambda d: [by_demand[d]])
 
 
 def select_pairs_osh(
@@ -248,11 +263,13 @@ def select_pairs_osh(
     candidates.  Unmatched demands keep the caller's routing untouched.
     """
     by_demand = index_routing(instance, routing)
-    pools: dict[Demand, list[PathPair]] = {}
-    for d in instance.demands:
-        pool = disjoint_pair_candidates(instance.topology, d, candidate_budget)
+    topology = instance.topology
+
+    def pool_of(d: Demand) -> list[PathPair]:
+        pool = disjoint_pair_candidates(topology, d, candidate_budget)
         base = by_demand[d]
         if base not in pool and base.total_hops == pool[0].total_hops:
             pool.append(base)  # caller's pair competes when it is also optimal
-        pools[d] = pool
-    return _select(instance, by_demand, KIND_COMBOS, pools)
+        return pool
+
+    return _select(instance, by_demand, KIND_COMBOS, pool_of)

@@ -100,21 +100,24 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
         return out
 
     def assign_label(w: int, t: int, v: int):
-        # label the top-level blossom of w with t, reached from v (-1: none)
-        b = inblossom[w]
-        label[w] = label[b] = t
-        labeledge[w] = labeledge[b] = (v, w) if v != -1 else None
-        bestedge[w] = bestedge[b] = None
-        bestslack[w] = bestslack[b] = math.inf
-        if t == 1:
-            if b >= n:
-                queue.extend(leaves(b))
-            else:
-                queue.append(b)
-        else:
+        # label the top-level blossom of w with t, reached from v (-1: none);
+        # a loop, not the reference's recursion, so that no nested function
+        # refers to itself and a call's state is freed on return
+        while True:
+            b = inblossom[w]
+            label[w] = label[b] = t
+            labeledge[w] = labeledge[b] = (v, w) if v != -1 else None
+            bestedge[w] = bestedge[b] = None
+            bestslack[w] = bestslack[b] = math.inf
+            if t == 1:
+                if b >= n:
+                    queue.extend(leaves(b))
+                else:
+                    queue.append(b)
+                return
             # a T-blossom's base is its only vertex with an outside mate
-            base = blossombase[b]
-            assign_label(mate[base], 1, base)
+            v = blossombase[b]
+            w, t = mate[v], 1
 
     def scan_blossom(v: int, w: int) -> int:
         # base of the blossom closed by edge (v, w), or -1 for an augmenting path

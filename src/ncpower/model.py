@@ -27,7 +27,8 @@ def undirected(link: Link) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _bfs_dist(adjacency: Mapping[int, Sequence[int]], start: int) -> dict[int, int]:
+def bfs_dist(adjacency: Mapping[int, Sequence[int]], start: int) -> dict[int, int]:
+    """Hop distance from ``start`` to every node it reaches in ``adjacency``."""
     dist = {start: 0}
     frontier = [start]
     while frontier:
@@ -94,14 +95,14 @@ class Topology:
         """
         table = self._distance_tables.get(node)
         if table is None:
-            table = self._distance_tables[node] = _bfs_dist(self.adjacency, node)
+            table = self._distance_tables[node] = bfs_dist(self.adjacency, node)
         return table
 
     def is_connected(self) -> bool:
         return len(self.distances_to(1)) == self.node_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Demand:
     """Directed traffic demand of ``volume`` Gbps from source to dest."""
 

@@ -25,8 +25,8 @@ from .coding import (
     CodingAssignment,
     PathKind,
     SelectionResult,
-    _clusters,
-    _volume_units,
+    clusters,
+    volume_units,
 )
 from .errors import OracleGuardError
 from .matching import exhaustive_matching
@@ -90,11 +90,11 @@ def _search(
     OracleGuardError.
     """
     final_routing = {d: pool[0] for d, pool in pools.items()}
-    units = _volume_units(instance.demands)
+    units = volume_units(instance.demands)
     chosen: list[CodedPair] = []
     explored = 0
 
-    for dest, demands in _clusters(instance.demands).items():
+    for dest, demands in clusters(instance.demands).items():
         n = len(demands)
         cluster_pools = [pools[d] for d in demands]
         # each candidate path's link set, built once per cluster

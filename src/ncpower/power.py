@@ -60,8 +60,10 @@ def eval_with_coding(
             if ends not in by_ends:
                 raise ContractError("coded pair references unrouted demand {}->{}".format(*ends))
         first, second = by_ends[coded.first], by_ends[coded.second]
-        on_first = by_demand[first].path(coded.first_kind).link_set
-        shared = sum(map(on_first.__contains__, by_demand[second].path(coded.second_kind).links))
+        nodes = by_demand[first].path(coded.first_kind).nodes
+        on_first = set(zip(nodes, nodes[1:]))
+        nodes = by_demand[second].path(coded.second_kind).nodes
+        shared = sum(map(on_first.__contains__, zip(nodes, nodes[1:])))
         if shared < coded.shared_hops:
             raise ContractError(
                 f"{coded.shared_hops} shared links not on the {coded.first_kind.value} path of "

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, RoutingError, SurvivabilityError
-from .model import Demand, Instance, Link, Topology, _bfs_dist, undirected
+from .model import Demand, Instance, Link, Topology, bfs_dist, undirected
 
 # disjoint-pair candidates per demand when the caller names no budget
 CANDIDATE_BUDGET = 8
@@ -232,7 +232,8 @@ def _without_fibres(
 def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int) -> None:
     """Walk from the source until ``walk`` holds the first k pairs or has run out.
 
-    Working paths W are walked outside, protections P inside.
+    Working paths W are walked outside, protections P inside.  The pairs of
+    one W share its one ``Path``.
     """
     adjacency = topology.adjacency
     pairs = walk.pairs = []
@@ -240,12 +241,14 @@ def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int
         adjacency, topology.distances_to(dest), source, dest, walk.total // 2
     ):
         reduced = _without_fibres(adjacency, working)
+        working_path = None
         for protection in _simple_paths_upto(
-            reduced, _bfs_dist(reduced, dest), source, dest, walk.total - len(working) + 1
+            reduced, bfs_dist(reduced, dest), source, dest, walk.total - len(working) + 1
         ):
             if len(protection) == len(working) and protection < working:
                 continue
-            pairs.append(PathPair(Path(working), Path(protection)))
+            working_path = working_path or Path(working)
+            pairs.append(PathPair(working_path, Path(protection)))
             if len(pairs) == k:
                 return
     walk.done = True

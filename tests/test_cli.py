@@ -14,7 +14,7 @@ from conftest import DATA_DIR, grid_topology
 from ncpower import cli
 from ncpower.cli import EVAL_DEMAND_LIMIT, SWEEP_POINT_LIMIT, _require_evaluable, _sweep_volumes
 from ncpower.errors import InstanceError
-from ncpower.model import Demand, Instance, _bfs_dist, generate_ring, serialize_instance
+from ncpower.model import Demand, Instance, bfs_dist, generate_ring, serialize_instance
 
 GOLDEN = {
     "mesh-volume": DATA_DIR / "mesh_volume.csv",
@@ -425,7 +425,7 @@ def test_analyze_leaves_distance_tables_intact(monkeypatch, capsys, tmp_path):
         tables = topo._distance_tables
         assert tables
         for node, table in tables.items():
-            assert table == _bfs_dist(topo.adjacency, node)
+            assert table == bfs_dist(topo.adjacency, node)
 
 
 def test_absorbed_sweep_step_exit_3(capsys):

@@ -1,6 +1,7 @@
 """Encodable pairs, matching machinery and the selection heuristics."""
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -68,7 +69,7 @@ def _shared_links(inst, combos=KIND_COMBOS):
     """
     by_demand = dict(zip(inst.demands, route_instance(inst)))
     edges = {}
-    for demands in coding._clusters(inst.demands).values():
+    for demands in coding.clusters(inst.demands).values():
         for d1, d2 in itertools.combinations(demands, 2):
             for k1, k2 in combos:
                 shared = by_demand[d1].path(k1).link_set & by_demand[d2].path(k2).link_set
@@ -80,7 +81,7 @@ def _shared_links(inst, combos=KIND_COMBOS):
 def test_mesh4_protection_graph_has_one_unit_edge_per_cluster():
     inst = generate_full_mesh(4, 20.0)
     edges = _shared_links(inst, ((P, P),))
-    clusters = coding._clusters(inst.demands)
+    clusters = coding.clusters(inst.demands)
     assert set(clusters) == {1, 2, 3, 4}
     by_dest: dict[int, list] = {t: [] for t in clusters}
     for (d1, d2, k1, k2), shared in edges.items():
@@ -106,7 +107,7 @@ def test_ring11_adjacent_protections_share_nine_hops():
 
 def test_clusters_group_by_destination():
     inst = generate_ring(5, 20.0)
-    clusters = coding._clusters(inst.demands)
+    clusters = coding.clusters(inst.demands)
     for dest, demands in clusters.items():
         assert all(d.dest == dest for d in demands)
         assert [d.source for d in demands] == sorted(d.source for d in demands)
@@ -230,6 +231,31 @@ def test_dense_matching_returns_networkx_pairs():
             assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
 
 
+def test_matching_leaves_no_garbage(monkeypatch):
+    # a call's state is freed on return: no reference cycle is left for the
+    # cyclic collector, on five clusters of the uniform 48-ring as osh weighs
+    # them and on complete graphs with many tied weights
+    ring = generate_ring(48, 20.0)
+    inst = Instance(ring.topology, tuple(d for d in ring.demands if d.dest <= 5), ring.power)
+    cases = []
+    monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append((n, weights)) or [])
+    select_pairs_osh(inst, route_instance(inst))
+    assert [n for n, _ in cases] == [47] * 5
+    rng = random.Random(165)
+    for n in (9, 20, 31):
+        cases.append((n, {e: rng.randint(1, 3) for e in itertools.combinations(range(n), 2)}))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for n, weights in cases:
+            assert max_weight_matching(n, weights)
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_max_weight_pairs_returns_networkx_pairs():
     # small clusters go through the blossom as well, so ties among
     # equal-weight matchings break as networkx breaks them at every size
@@ -268,7 +294,7 @@ def test_matching_is_a_matching():
 def test_volume_units_are_exact_proportions():
     def units(*volumes):
         demands = [Demand(source, 9, v) for source, v in enumerate(volumes, 1)]
-        table = coding._volume_units(demands)
+        table = coding.volume_units(demands)
         return [table[d] for d in demands]
 
     assert units(20.0, 20.0, 20.0) == [1, 1, 1]

@@ -1,4 +1,5 @@
-"""Each package module imports only the modules below it, at module level."""
+"""Each package module imports only the modules below it, at module level,
+and no name private to the module it comes from."""
 from __future__ import annotations
 
 import ast
@@ -11,20 +12,34 @@ LAYERS = ("errors", "model", "routing", "matching", "coding", "power", "oracle",
 PACKAGE = Path(ncpower.__file__).parent
 
 
-def layering_findings() -> list[str]:
-    findings = []
+def package_imports():
+    """(rank, module, node, at module level) for each import from the package."""
     for rank, name in enumerate(LAYERS):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         top_level = {id(node) for node in tree.body}
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.ImportFrom) and node.level):
-                continue
-            where = f"{name} imports .{node.module} (line {node.lineno})"
-            if id(node) not in top_level:
-                findings.append(f"{where} below module level")
-            elif node.module not in LAYERS[:rank]:
-                findings.append(f"{where} from its own or a higher layer")
+            if isinstance(node, ast.ImportFrom) and node.level:
+                yield rank, name, node, id(node) in top_level
+
+
+def layering_findings() -> list[str]:
+    findings = []
+    for rank, name, node, at_module_level in package_imports():
+        where = f"{name} imports .{node.module} (line {node.lineno})"
+        if not at_module_level:
+            findings.append(f"{where} below module level")
+        elif node.module not in LAYERS[:rank]:
+            findings.append(f"{where} from its own or a higher layer")
     return findings
+
+
+def private_name_findings() -> list[str]:
+    return [
+        f"{name} imports {alias.name} from .{node.module} (line {node.lineno})"
+        for _, name, node, _ in package_imports()
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
 
 
 def test_every_module_has_a_layer():
@@ -34,3 +49,7 @@ def test_every_module_has_a_layer():
 
 def test_modules_import_only_lower_layers_at_module_level():
     assert layering_findings() == []
+
+
+def test_no_module_imports_a_private_name():
+    assert private_name_findings() == []

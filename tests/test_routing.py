@@ -128,6 +128,13 @@ def test_mesh_candidates_enumerate_all_relays():
     assert len(disjoint_pair_candidates(inst.topology, Demand(1, 2, 20.0), k=8)) == 3
 
 
+def test_pairs_of_one_working_path_share_its_path():
+    # a mesh pool of 8 holds one working Path, not 8 equal ones
+    pool = disjoint_pair_candidates(generate_full_mesh(10).topology, Demand(1, 2, 20.0))
+    assert len(pool) == 8
+    assert len({id(pair.working) for pair in pool}) == 1
+
+
 def test_candidates_budget_and_order_are_stable():
     inst = generate_full_mesh(6, 20.0)
     full = disjoint_pair_candidates(inst.topology, Demand(2, 6, 20.0), k=8)
@@ -314,7 +321,7 @@ def test_one_full_graph_bfs_per_node(monkeypatch):
     topo = inst.topology
     starts = []
     for module in (model, routing, bounds):
-        real = getattr(module, "_bfs_dist", None)
+        real = getattr(module, "bfs_dist", None)
         if real is None:
             continue
 
@@ -323,7 +330,7 @@ def test_one_full_graph_bfs_per_node(monkeypatch):
                 starts.append(start)
             return real(adjacency, start)
 
-        monkeypatch.setattr(module, "_bfs_dist", counting)
+        monkeypatch.setattr(module, "bfs_dist", counting)
     select_pairs_osh(inst, route_instance(inst))
     bound_nc(inst)
     for s, t in itertools.permutations(range(1, 13), 2):
@@ -462,10 +469,11 @@ def test_volume_sweep_keeps_one_walk_per_ordered_pair(monkeypatch, capsys):
     assert set(topologies[0]._pair_walks) == set(itertools.permutations(range(1, 8), 2))
 
 
-# twice the 2.61 MB traced peak of routing and selecting ring:40 when coded
-# pairs keep a shared-hop count (5.56 MB while each kept its shared link set,
+# twice the 2.00 MB traced peak of routing and selecting ring:40 when the
+# scoring keeps no per-pair picks and builds masks from node sequences
+# (2.61 MB with both, 5.56 MB while each coded pair kept its shared link set,
 # 33.5 MB while paths cached their link sets)
-PEAK_BOUND_RING_40 = 5_210_000
+PEAK_BOUND_RING_40 = 4_010_000
 
 
 def test_route_and_select_peak_memory_on_ring_40():
