@@ -54,7 +54,6 @@ from .routing import (
     disjoint_pair_candidates,
     route_instance,
     shortest_path,
-    suurballe_pair,
 )
 
 __version__ = "0.1.0"

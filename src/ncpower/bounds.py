@@ -6,10 +6,11 @@ traffic directly (per-demand form), or through the characteristic hop count
 h~ = h_min - h_shared/4 averaged over the demand set (mean form).
 
 Every bound is exact: the inputs are integer hop counts and floats (the power
-slope k and the volumes), each float is taken as the integer ratio it equals,
-the sums are formed in integer arithmetic, and each reported number is rounded
-to a float once.  So a bound does not depend on demand order, and the mean
-form equals the conventional bound whenever no demand is paired.  A generated
+slope k and the volumes), ``model.integer_ratios`` puts the volumes over one
+denominator, the sums are formed in integer arithmetic, and
+``model.round_ratio`` rounds each reported number to a float once.  So a
+bound does not depend on demand order, and the mean form equals the
+conventional bound whenever no demand is paired.  A generated
 uniform mesh or ring gets the same sums from its structure instead of from
 its demands (``uniform_bound``), so it answers at any size in microseconds
 and agrees with ``bound_nc`` on the generated instance bit for bit.
@@ -27,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .coding import CodingAssignment, EMPTY_ASSIGNMENT
 from .errors import ContractError, DomainError, RoutingError
-from .model import Demand, Instance, PowerParams
+from .model import Demand, Instance, PowerParams, integer_ratios, round_ratio
 
 
 @dataclass(frozen=True)
@@ -58,28 +58,6 @@ def min_hop_table(instance: Instance) -> dict[Demand, int]:
     return table
 
 
-def _weighted_sum(terms: Iterable[tuple[float, int]]) -> tuple[int, int]:
-    """sum(x * c) over (float x, int c) as (numerator, denominator), exactly.
-
-    A float's ratio has a power-of-two denominator, so the largest one is a
-    common denominator of them all.
-    """
-    ratios = [(x.as_integer_ratio(), c) for x, c in terms]
-    den = max((d for (_, d), _ in ratios), default=1)
-    return sum(n * (den // d) * c for (n, d), c in ratios), den
-
-
-def _round(num: int, den: int) -> float:
-    """num/den rounded once to the nearest float (int/int true division).
-
-    Past the float range the result is infinite, as a float sum would be.
-    """
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 def _bound_report(
     slope: float,
     volumes: dict[float, tuple[int, int]],
@@ -90,27 +68,27 @@ def _bound_report(
 
     ``volumes`` maps each distinct volume V to (demand count, sum of h_min) of
     its demands; ``shared_total`` sums the shared hops of every demand's coded
-    pair, and ``cuts`` maps min(V1, V2) to the summed shared hops of the pairs
-    with that smaller volume.
+    pair, and ``cuts`` maps min(V1, V2), a key of ``volumes``, to the summed
+    shared hops of the pairs with that smaller volume.
     """
     count = sum(c for c, _ in volumes.values())
     if not count:
         return BoundReport(0.0, 0.0, 0.0, 0.0, 0.0)
     hops = sum(h for _, h in volumes.values())
     k_num, k_den = slope.as_integer_ratio()
-    vh_num, vh_den = _weighted_sum((v, h) for v, (_, h) in volumes.items())
-    v_num, v_den = _weighted_sum((v, c) for v, (c, _) in volumes.items())
-    cut_num, cut_den = _weighted_sum(cuts.items())
+    nums, den = integer_ratios(volumes)
+    num_of = dict(zip(volumes, nums))
+    vh_num = sum(num_of[v] * h for v, (_, h) in volumes.items())
+    v_num = sum(num_of[v] * c for v, (c, _) in volumes.items())
+    cut_num = sum(num_of[v] * s for v, s in cuts.items())
     # characteristic sum: sum(h - s/4) = (4 sum h - sum s) / 4
     quarter_hops = 4 * hops - shared_total
     return BoundReport(
-        conventional_lower=_round(2 * k_num * vh_num, k_den * vh_den),
-        nc_lower_per_demand=_round(
-            k_num * (2 * vh_num * cut_den - cut_num * vh_den), k_den * vh_den * cut_den
-        ),
-        nc_lower_mean_form=_round(k_num * v_num * quarter_hops, 2 * k_den * v_den * count),
-        volume_avg=_round(v_num, v_den * count),
-        characteristic_avg=_round(quarter_hops, 4 * count),
+        conventional_lower=round_ratio(2 * k_num * vh_num, k_den * den),
+        nc_lower_per_demand=round_ratio(k_num * (2 * vh_num - cut_num), k_den * den),
+        nc_lower_mean_form=round_ratio(k_num * v_num * quarter_hops, 2 * k_den * den * count),
+        volume_avg=round_ratio(v_num, den * count),
+        characteristic_avg=round_ratio(quarter_hops, 4 * count),
     )
 
 
@@ -250,7 +228,7 @@ def closed_form(
 
     ``kind`` is "mesh" or "ring".  The size class is the mesh parity ("odd" or
     "even") or the ring's RingClass value.  Past the float range both powers
-    are infinite, as ``_round`` gives the bounds, and 0 at volume 0.
+    are infinite, as ``model.round_ratio`` gives the bounds, and 0 at volume 0.
     """
     _require_kind(kind)
     if not 0 <= volume < math.inf:

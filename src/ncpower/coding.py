@@ -14,7 +14,8 @@ all have the minimum total hop count, the uncoded power term is invariant and
 the per-pair benefit decomposes, so a per-cluster max-weight matching over
 per-pair-maximised weights is exactly optimal on this search space.
 A pair weighs min(u1, u2) times its shared links, u being each demand's volume
-in exact integer units, and the blossom algorithm matches every cluster.
+in exact integer units (``model.integer_ratios`` over the gcd), and the blossom
+algorithm matches every cluster on the pairs of positive weight.
 
 Shared links are counted on bit masks.  Each cluster numbers its own directed
 links, so a candidate path is an ``int`` built from its node sequence and two
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ContractError, FeasibilityError
 from .matching import max_weight_matching
-from .model import Demand, Instance, Link
+from .model import Demand, Instance, Link, integer_ratios
 from .routing import CANDIDATE_BUDGET, PathKind, PathPair, disjoint_pair_candidates, index_routing
 
 _W = PathKind.WORKING
@@ -115,15 +116,13 @@ def clusters(demands: Sequence[Demand]) -> dict[int, tuple[Demand, ...]]:
 
 
 def max_weight_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
-    """Max-weight matching on vertices 0..n-1 over the positive int weights.
+    """Max-weight matching on vertices 0..n-1 over positive int weights.
 
+    ``_select`` passes only the pairs that share links at a non-zero volume.
     The blossom algorithm serves every cluster size and breaks ties as
     networkx does.
     """
-    weights = {key: w for key, w in weights.items() if w > 0}
-    if not weights:
-        return []
-    return max_weight_matching(n, weights)
+    return max_weight_matching(n, weights) if weights else []
 
 
 # -- selectors ---------------------------------------------------------------
@@ -132,14 +131,11 @@ def max_weight_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[tuple[
 def volume_units(demands: Sequence[Demand]) -> dict[Demand, int]:
     """Volumes as ints in exact proportion: equal volumes get 1, all-zero stay 0.
 
-    Each volume p/q is scaled to the largest q, a common denominator since
-    float denominators are powers of two, and divided by the gcd of all.
+    The volumes' numerators over one denominator, divided by their gcd.
     """
-    ratios = {d: d.volume.as_integer_ratio() for d in demands}
-    denominator = max((q for _, q in ratios.values()), default=1)
-    units = {d: p * (denominator // q) for d, (p, q) in ratios.items()}
-    unit = math.gcd(*units.values())
-    return {d: u // unit for d, u in units.items()} if unit else units
+    nums, _ = integer_ratios(d.volume for d in demands)
+    unit = math.gcd(*nums) or 1
+    return {d: u // unit for d, u in zip(demands, nums)}
 
 
 def _select(
@@ -218,7 +214,9 @@ def _select(
                             best[j] = shared
             unit = cluster_units[i]
             for j in compress(range(i + 1, n), best[i + 1 :]):
-                weights[(i, j)] = min(unit, cluster_units[j]) * best[j]
+                weight = min(unit, cluster_units[j]) * best[j]
+                if weight:
+                    weights[(i, j)] = weight
 
         for i, j in max_weight_pairs(n, weights):
             shared = 0

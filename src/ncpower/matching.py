@@ -545,4 +545,7 @@ def exhaustive_matching(
         return walk(i + 1, used | 1 << i, total)
 
     walk(0, 0, 0)
+    # walk's closure holds walk itself: drop the name so the call leaves no
+    # reference cycle behind
+    del walk
     return best_pairs, best_total, visited

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InstanceError
 
@@ -25,6 +25,28 @@ DEFAULT_VOLUME = 20.0
 def undirected(link: Link) -> Edge:
     u, v = link
     return (u, v) if u < v else (v, u)
+
+
+def integer_ratios(values: Iterable[float]) -> tuple[list[int], int]:
+    """Each value as an integer numerator over one common denominator, exactly.
+
+    A float's ratio has a power-of-two denominator, so the largest one is a
+    common denominator of them all.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max((q for _, q in ratios), default=1)
+    return [p * (den // q) for p, q in ratios], den
+
+
+def round_ratio(num: int, den: int) -> float:
+    """num/den rounded once to the nearest float (int/int true division).
+
+    Past the float range the result is infinite, as a float sum would be.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def bfs_dist(adjacency: Mapping[int, Sequence[int]], start: int) -> dict[int, int]:
@@ -137,6 +159,8 @@ class PowerParams:
             raise DomainError("device powers must be finite and non-negative")
         if not 0 < self.channel_gbps < math.inf:
             raise DomainError("channel capacity must be finite and positive")
+        if not self.slope_w_per_gbps < math.inf:
+            raise DomainError("power slope (port_w + transponder_w) / channel_gbps must be finite")
 
     @property
     def slope_w_per_gbps(self) -> float:

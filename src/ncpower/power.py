@@ -6,7 +6,9 @@ costs one transponder and one router port at each end of a lightpath hop, so
 carrying V Gbps over one hop draws (p_port + p_transponder) * V / B watts.
 Total network power is the sum over demands of volume x (working hops +
 protection hops), minus the traffic that XOR-coded protection removes from
-shared links.
+shared links.  Both are float sums, the reproduced numbers; past the float
+range the total and the savings come from exact integer sums instead
+(``model.integer_ratios``), each rounded once (``model.round_ratio``).
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Iterable
 
 from .coding import CodingAssignment
 from .errors import ContractError
-from .model import Instance
+from .model import Instance, integer_ratios, round_ratio
 from .routing import PathPair, index_routing
 
 
@@ -76,18 +78,13 @@ def eval_with_coding(
     if math.isinf(p1):
         # past the float range p1 - reduction and reduction / p1 would be nan,
         # so both come from exact sums of volume x hops, each rounded once
-        from fractions import Fraction  # deferred: it adds to every CLI start-up
-
-        hops = sum(Fraction(d.volume) * by_demand[d].total_hops for d in instance.demands)
-        cut = sum(
-            Fraction(min(by_ends[c.first].volume, by_ends[c.second].volume)) * c.shared_hops
-            for c in assignment.pairs
-        )
-        try:
-            total = float(Fraction(k) * (hops - cut))
-        except OverflowError:
-            total = math.inf
-        savings = float(cut / hops)
+        nums, den = integer_ratios(d.volume for d in instance.demands)
+        hops = sum(num * by_demand[d].total_hops for d, num in zip(instance.demands, nums))
+        num_of = dict(zip(by_ends, nums))
+        cut = sum(min(num_of[c.first], num_of[c.second]) * c.shared_hops for c in assignment.pairs)
+        k_num, k_den = k.as_integer_ratio()
+        total = round_ratio(k_num * (hops - cut), k_den * den)
+        savings = round_ratio(cut, hops)
     return PowerReport(
         p_total=total,
         p_conventional=p1,

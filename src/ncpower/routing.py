@@ -49,10 +49,6 @@ class Path:
         return len(self.nodes) - 1
 
     @property
-    def links(self) -> tuple[Link, ...]:
-        return tuple(zip(self.nodes, self.nodes[1:]))
-
-    @property
     def link_set(self) -> frozenset[Link]:
         return frozenset(zip(self.nodes, self.nodes[1:]))
 
@@ -301,13 +297,8 @@ def disjoint_pair_candidates(
     return walk.pairs[:k]
 
 
-def suurballe_pair(topology: Topology, demand: Demand) -> PathPair:
-    """The canonical minimum-total-hop disjoint pair (first candidate)."""
-    return disjoint_pair_candidates(topology, demand, k=1)[0]
-
-
 def route_instance(instance: Instance, budget: int = CANDIDATE_BUDGET) -> tuple[PathPair, ...]:
-    """Canonical 1+1 routing: suurballe_pair for every demand, in demand order.
+    """Canonical 1+1 routing: each demand's first disjoint-pair candidate, in order.
 
     Each demand's walk runs to ``budget`` pairs, the pool a selector or the
     oracle reads next; its first pair, the routing, does not depend on it.

@@ -187,6 +187,24 @@ def test_instance_file_demand_guard(monkeypatch, capsys, tmp_path):
     assert "achieved_power: skipped (20306 demands exceed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("values", ["1e308,1e308,1", "1000,73,1e-310"])
+def test_power_whose_slope_overflows_exit_3(values, capsys, tmp_path):
+    # finite device values whose slope (pp + pt) / B is past the float range
+    for command in ("analyze", "bounds"):
+        assert cli.main([command, "--gen", "ring:5", "--power", values]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "slope" in captured.err and "must be finite" in captured.err
+    path = tmp_path / "overflow.net"
+    text = serialize_instance(generate_ring(5))
+    path.write_text(text.replace("power 1000 73 40", "power " + values.replace(",", " ")))
+    for command in ("analyze", "bounds"):
+        assert cli.main([command, "--instance", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: line 2: power slope" in captured.err
+
+
 def test_sweep_oracle_guard_up_front(capsys):
     # the oracle's node guard is met by the largest size, so no row is computed
     start = time.perf_counter()

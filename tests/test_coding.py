@@ -256,6 +256,26 @@ def test_matching_leaves_no_garbage(monkeypatch):
             gc.enable()
 
 
+def test_exhaustive_matching_leaves_no_garbage():
+    # the oracles' walk frees its state on return as well, on one small
+    # cluster, on a walk stopped at its limit, and through optimal_joint
+    rng = random.Random(25)
+    weights = {e: rng.randint(1, 3) for e in itertools.combinations(range(6), 2)}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert exhaustive_matching(6, weights)[2] == 76
+        assert gc.collect() == 0
+        assert exhaustive_matching(6, weights, 10)[2] == 11
+        assert gc.collect() == 0
+        assert optimal_joint(generate_ring(7)).explored == 532
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_max_weight_pairs_returns_networkx_pairs():
     # small clusters go through the blossom as well, so ties among
     # equal-weight matchings break as networkx breaks them at every size
@@ -268,6 +288,29 @@ def test_max_weight_pairs_returns_networkx_pairs():
                 if rng.random() < 0.6
             }
             assert max_weight_pairs(n, weights) == _networkx_pairs(n, weights)
+
+
+def test_matching_receives_only_positive_weights(monkeypatch):
+    # a zero-volume demand shares links with its cluster but weighs nothing,
+    # so the selectors leave its pairs out of the weights they pass on
+    ring = generate_ring(6, 20.0)
+    demands = tuple(
+        Demand(d.source, d.dest, 0.0 if d.source == 3 else d.volume)
+        for d in ring.demands
+        if d.dest == 1
+    )
+    inst = Instance(ring.topology, demands, ring.power)
+    cases = []
+    monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append(weights) or [])
+    routing = route_instance(inst)
+    select_pairs_osh(inst, routing)
+    for combo in KIND_COMBOS:
+        select_pairs_fixed(inst, routing, combo)
+    zero = [d.source for d in demands].index(3)
+    assert any(cases)
+    for weights in cases:
+        assert all(w > 0 for w in weights.values())
+        assert all(zero not in edge for edge in weights)
 
 
 def test_matching_rejects_float_weights():

@@ -1,5 +1,5 @@
 """Each package module imports only the modules below it, at module level,
-and no name private to the module it comes from."""
+and no name private to the module it comes from; only cli imports fractions."""
 from __future__ import annotations
 
 import ast
@@ -12,10 +12,14 @@ LAYERS = ("errors", "model", "routing", "matching", "coding", "power", "oracle",
 PACKAGE = Path(ncpower.__file__).parent
 
 
+def module_tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
 def package_imports():
     """(rank, module, node, at module level) for each import from the package."""
     for rank, name in enumerate(LAYERS):
-        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        tree = module_tree(name)
         top_level = {id(node) for node in tree.body}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
@@ -42,6 +46,26 @@ def private_name_findings() -> list[str]:
     ]
 
 
+def fractions_findings() -> list[str]:
+    """Modules other than cli that import ``fractions``.
+
+    Exact sums go through ``model.integer_ratios``; only the CLI's sweep
+    parses decimal strings as Fractions.
+    """
+    findings = []
+    for name in LAYERS:
+        for node in ast.walk(module_tree(name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if "fractions" in modules and name != "cli":
+                findings.append(f"{name} imports fractions (line {node.lineno})")
+    return findings
+
+
 def test_every_module_has_a_layer():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(LAYERS)
@@ -53,3 +77,7 @@ def test_modules_import_only_lower_layers_at_module_level():
 
 def test_no_module_imports_a_private_name():
     assert private_name_findings() == []
+
+
+def test_only_cli_imports_fractions():
+    assert fractions_findings() == []

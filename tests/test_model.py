@@ -1,7 +1,10 @@
 """Topology/demand model and the instance file format."""
 from __future__ import annotations
 
+import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from conftest import DATA_DIR
@@ -14,7 +17,9 @@ from ncpower.model import (
     Topology,
     generate_full_mesh,
     generate_ring,
+    integer_ratios,
     load_instance,
+    round_ratio,
     serialize_instance,
 )
 
@@ -118,6 +123,8 @@ def test_load_instance_arbitrary11():
         ("nodes 3\nedge 1 2\n", 1, "disconnected"),
         ("nodes 3\nedge one 2\n", 2, "must be a int"),
         ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\npower 1000 73 0\n", 5, "positive"),
+        ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\npower 1e308 1e308 1\n", 5, "slope"),
+        ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\npower 1000 73 1e-310\n", 5, "slope"),
         ("", 1, "no 'nodes'"),
     ],
 )
@@ -161,3 +168,36 @@ def test_serialize_preserves_fractional_volumes():
     topo = Topology.from_undirected_edges(3, [(1, 2), (2, 3), (1, 3)])
     inst = Instance(topo, (Demand(1, 2, 0.1),))
     assert load_instance(serialize_instance(inst)).demands[0].volume == 0.1
+
+
+def _float_or_inf(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def test_integer_ratios_and_round_ratio_equal_fraction():
+    # random finite floats over the whole range, with 0, the smallest
+    # subnormal, other subnormals and the largest float among them
+    rng = random.Random(324)
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 20.0]
+    for _ in range(300):
+        values = rng.sample(special, rng.randint(0, 3)) + [
+            rng.choice((1, -1)) * math.ldexp(rng.random(), rng.randint(-1074, 1024))
+            for _ in range(rng.randint(0, 5))
+        ]
+        rng.shuffle(values)
+        nums, den = integer_ratios(values)
+        assert all(type(num) is int for num in nums)
+        assert den & (den - 1) == 0  # a power of two
+        assert [Fraction(num, den) for num in nums] == [Fraction(v) for v in values]
+        counts = [rng.randint(0, 1000) for _ in values]
+        total = sum(num * c for num, c in zip(nums, counts))
+        exact = sum((Fraction(v) * c for v, c in zip(values, counts)), Fraction(0))
+        assert round_ratio(total, den) == _float_or_inf(exact)
+        assert round_ratio(total, 3 * den) == _float_or_inf(exact / 3)
+    assert integer_ratios([]) == ([], 1)
+    assert round_ratio(10 ** 400, 1) == math.inf
+    assert round_ratio(-(10 ** 400), 1) == -math.inf
+    assert round_ratio(1, 10 ** 400) == 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from conftest import random_survivable_instance, routed_shared_links
@@ -36,6 +37,10 @@ def test_params_validation():
         PowerParams(-1.0, 73.0, 40.0)
     with pytest.raises(DomainError):
         PowerParams(1000.0, 73.0, 0.0)
+    # finite device values whose slope is past the float range
+    for values in ((1e308, 1e308, 1.0), (1000.0, 73.0, 1e-310)):
+        with pytest.raises(DomainError, match="slope"):
+            PowerParams(*values)
 
 
 def test_mesh5_conventional_power():
@@ -194,3 +199,37 @@ def test_saving_past_the_float_range_is_inf():
     inst = generate_ring(6, 1e308)
     sel = select_pairs_osh(inst, route_instance(inst))
     assert eval_with_coding(inst, sel.routing, sel.assignment).p_reduction == math.inf
+
+
+def _fraction_total_and_savings(instance: Instance, routing, assignment) -> tuple[float, float]:
+    # the coded total and the savings from Fraction sums, each rounded once
+    volume = {(d.source, d.dest): Fraction(d.volume) for d in instance.demands}
+    hops = sum(volume[pair.ends] * pair.total_hops for pair in routing)
+    cut = sum(min(volume[c.first], volume[c.second]) * c.shared_hops for c in assignment.pairs)
+    try:
+        total = float(Fraction(instance.power.slope_w_per_gbps) * (hops - cut))
+    except OverflowError:
+        total = math.inf
+    return total, float(cut / hops)
+
+
+@pytest.mark.parametrize("volumes,finite", [
+    ((1.7e308, 2.5e305, 0.1, 0.0), False),
+    ((8.5e304, 7.5e304, 0.1, 0.0), True),
+])
+def test_power_past_the_float_range_equals_fraction_reference(volumes, finite):
+    # mixed volumes, one of them zero and one far below the others: the
+    # integer sums over one denominator round to what Fraction sums round to
+    ring = generate_ring(6)
+    demands = tuple(
+        Demand(d.source, d.dest, volumes[i % len(volumes)]) for i, d in enumerate(ring.demands)
+    )
+    inst = Instance(ring.topology, demands, ring.power)
+    sel = select_pairs_osh(inst, route_instance(inst))
+    report = eval_with_coding(inst, sel.routing, sel.assignment)
+    assert report.p_conventional == math.inf
+    assert sel.assignment.pairs
+    total, savings = _fraction_total_and_savings(inst, sel.routing, sel.assignment)
+    assert report.p_total == total
+    assert math.isfinite(total) is finite
+    assert report.savings_fraction == savings
