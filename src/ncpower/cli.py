@@ -361,9 +361,11 @@ def _size_row(
 def _cmd_sweep(args) -> int:
     kind, sizes = _parse_size_range(args.gen)
     heuristics = [h for h in (args.heuristic or "").split(",") if h]
-    for h in heuristics:
+    for i, h in enumerate(heuristics):
         if h not in HEURISTICS:
             raise InstanceError(f"unknown heuristic {h!r}")
+        if h in heuristics[:i]:
+            raise InstanceError(f"heuristic {h!r} is named twice")
     params = _parse_power(args.power)
     volume = DEFAULT_VOLUME if args.volume is None else args.volume
     if heuristics:

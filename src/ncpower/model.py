@@ -104,7 +104,8 @@ class Topology:
 
     @cached_property
     def _pair_walks(self) -> dict[tuple[int, int], object]:
-        # disjoint-pair candidate walk per ordered (s, t); routing fills it
+        # disjoint-pair candidate walk per ordered (s, t); routing fills it with
+        # one search per unordered pair, and a finished walk serves its reverse
         return {}
 
     def distances_to(self, node: int) -> dict[int, int]:

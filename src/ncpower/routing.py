@@ -10,8 +10,9 @@ the reference tables under tests/data/) are reproducible bit-for-bit:
 The candidates of each ordered (source, dest) come from one walk per
 topology.  Its record, kept with the topology beside the distance tables,
 holds the minimum total, the pairs found and whether the walk has run out.
-Routing walks each demand to the selectors' budget, so their calls only read
-the record.
+There is one search per unordered pair, and a finished walk serves its
+reverse.  Routing walks each demand to the selectors' budget, so their calls
+only read the record.
 Paths keep only their node tuples; their link views are rebuilt on each read.
 """
 from __future__ import annotations
@@ -119,7 +120,8 @@ class _PairWalk:
     """The candidate walk of one ordered (s, t), as far as it has gone.
 
     ``total`` is the minimum disjoint-pair total, ``pairs`` the first
-    optimal pairs in lex order, and ``done`` says the walk has run out.
+    optimal pairs in lex order, and ``done`` says the walk has run out, so
+    ``pairs`` holds every optimal pair and serves (t, s) reversed.
     """
 
     total: int
@@ -250,6 +252,27 @@ def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int
     walk.done = True
 
 
+def _mirrored(walk: _PairWalk) -> _PairWalk:
+    """The finished walk of (s, t) built from the finished walk of (t, s).
+
+    Fibres come in pairs, so reversing both paths of each optimal pair of
+    (t, s) gives every optimal pair of (s, t).  The shorter path is the
+    working one (the smaller on a tie), and the pairs of one working path
+    share its one ``Path``.
+    """
+    reversed_pairs = []
+    for pair in walk.pairs:
+        w, p = pair.working.nodes[::-1], pair.protection.nodes[::-1]
+        reversed_pairs.append((p, w) if len(p) == len(w) and p < w else (w, p))
+    mirror = _PairWalk(walk.total, done=True)
+    working_path = None
+    for w, p in sorted(reversed_pairs):
+        if working_path is None or working_path.nodes != w:
+            working_path = Path(w)
+        mirror.pairs.append(PathPair(working_path, Path(p)))
+    return mirror
+
+
 def disjoint_pair_candidates(
     topology: Topology, demand: Demand, k: int = CANDIDATE_BUDGET
 ) -> list[PathPair]:
@@ -273,17 +296,21 @@ def disjoint_pair_candidates(
     cost is in proportion to the working paths tried and the k pairs
     returned, not to the number of all paths in the graph.
 
-    The Suurballe search and the walk of each ordered (source, dest) run
-    once per topology: ``route_instance`` walks to the selectors' budget, so
-    the selector's pool and the oracle's read what the routing call found.
-    The walk's record is kept with the topology, keyed by the endpoints alone
-    so that volume sweeps share it too.  A call for no more pairs than it
-    holds, or for any number once the walk has run out, reads them; a call
-    for more walks afresh, and the walk is deterministic, so the first k
-    pairs are the same whatever budgets came before.  The pairs carry no
-    volume, so every call shares the walk's ``PathPair``s; each returns them
-    in a fresh list, which the caller may extend.  A pair that does not
-    exist raises on every call; errors are not kept.
+    There is one Suurballe search per unordered pair of a topology, and a
+    finished walk serves its reverse: the first call for (source, dest) takes
+    the total from the record of (dest, source) when there is one, and when
+    that walk has run out, reverses its pairs and walks nothing.
+    ``route_instance`` walks to the selectors' budget, so the selector's pool
+    and the oracle's read what the routing call found.  The walk's record is
+    kept with the topology, keyed by the endpoints alone so that volume
+    sweeps share it too.  A call for no more pairs than it holds, or for any
+    number once the walk has run out, reads them; a call for more walks
+    afresh, and the walk is deterministic, so the first k pairs are the same
+    whatever budgets came before.  The pairs carry no volume, so every call
+    shares the walk's ``PathPair``s; each returns them in a fresh list, which
+    the caller may extend.  A pair that does not exist raises on every call,
+    in each direction, naming the cut edge nearest that call's source;
+    errors are not kept.
     """
     if k < 1:
         raise ContractError("candidate budget must be at least 1")
@@ -291,7 +318,14 @@ def disjoint_pair_candidates(
     walks = topology._pair_walks
     walk = walks.get((s, t))
     if walk is None:
-        walk = walks[(s, t)] = _PairWalk(_suurballe_total(topology, s, t))
+        reverse = walks.get((t, s))
+        if reverse is None:
+            walk = _PairWalk(_suurballe_total(topology, s, t))
+        elif reverse.done:
+            walk = _mirrored(reverse)
+        else:
+            walk = _PairWalk(reverse.total)
+        walks[(s, t)] = walk
     if len(walk.pairs) < k and not walk.done:
         _walk_on(topology, walk, s, t, k)
     return walk.pairs[:k]
@@ -302,6 +336,8 @@ def route_instance(instance: Instance, budget: int = CANDIDATE_BUDGET) -> tuple[
 
     Each demand's walk runs to ``budget`` pairs, the pool a selector or the
     oracle reads next; its first pair, the routing, does not depend on it.
+    A demand whose reverse was routed before searches nothing, and walks
+    nothing when the reverse's walk ran out below the budget.
     """
     topology = instance.topology
     return tuple(disjoint_pair_candidates(topology, d, budget)[0] for d in instance.demands)

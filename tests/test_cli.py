@@ -215,6 +215,21 @@ def test_sweep_oracle_guard_up_front(capsys):
     assert "joint oracle" in captured.err
 
 
+@pytest.mark.parametrize("columns,message", [
+    ("osh,osh", "heuristic 'osh' is named twice"),
+    ("pp,osh,ww,pp", "heuristic 'pp' is named twice"),
+    ("osh,bogus", "unknown heuristic 'bogus'"),
+])
+def test_sweep_heuristic_named_twice_exit_3(columns, message, monkeypatch, capsys):
+    # both name checks come before any size is generated or priced
+    monkeypatch.setattr(cli, "_generate", _refuse_generation)
+    monkeypatch.setattr(cli, "closed_form", _refuse_generation)
+    assert cli.main(["sweep", "--gen", "ring:3:4", "--heuristic", columns]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sweep_size_count_guard(monkeypatch, capsys):
     # without heuristic columns no demand is routed, but each size is still a
     # row; the count is refused before any closed form is computed (the

@@ -260,17 +260,26 @@ def _assert_candidates_match_brute_force(topo, s, t):
     return expected
 
 
-def test_candidates_equal_sorted_brute_force_pairs():
-    # connected G(n, 0.5) graphs, bridges allowed, so some demands have no pair
+def _random_connected_graphs(count: int) -> list[Topology]:
+    """Connected G(n, 0.5) graphs on 5 to 8 nodes, bridges allowed."""
     rng = random.Random(20261018)
-    bridged = 0
-    for _ in range(30):
+    graphs = []
+    for _ in range(count):
         n = rng.randint(5, 8)
         while True:
             edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
             topo = Topology.from_undirected_edges(n, edges)
             if topo.is_connected():
                 break
+        graphs.append(topo)
+    return graphs
+
+
+def test_candidates_equal_sorted_brute_force_pairs():
+    # connected G(n, 0.5) graphs, bridges allowed, so some demands have no pair
+    bridged = 0
+    for topo in _random_connected_graphs(30):
+        n = topo.node_count
         for s, t in itertools.permutations(range(1, n + 1), 2):
             bridged += not _assert_candidates_match_brute_force(topo, s, t)
     assert bridged > 0
@@ -337,10 +346,17 @@ def test_one_full_graph_bfs_per_node(monkeypatch):
     assert len(starts) <= 12
 
 
-def test_pair_total_searched_once_per_ordered_pair(monkeypatch):
-    # the routing call at k=1 and the selector's pool at k=8 share one
-    # Suurballe search per ordered (s, t) of the topology
-    inst = generate_ring(12)
+def _search_error(topo: Topology, s: int, t: int) -> tuple[str, tuple[int, int]]:
+    with pytest.raises(SurvivabilityError) as err:
+        disjoint_pair_candidates(topo, Demand(s, t, 5.0))
+    return str(err.value), err.value.cut_edge
+
+
+@pytest.mark.parametrize("generate,n", [(generate_ring, 20), (generate_full_mesh, 12)])
+def test_pair_total_searched_once_per_unordered_pair(generate, n, monkeypatch):
+    # routing at the pool's budget and the selector's read share one Suurballe
+    # search per unordered {s, t}: (t, s) takes the total of (s, t)
+    inst = generate(n)
     searches = []
     real = routing._suurballe_total
 
@@ -350,18 +366,81 @@ def test_pair_total_searched_once_per_ordered_pair(monkeypatch):
 
     monkeypatch.setattr(routing, "_suurballe_total", counting)
     select_pairs_osh(inst, route_instance(inst))
-    assert len(searches) <= 12 * 11
-    # a pair that does not exist is searched again, and raises the same way
-    topo = Topology.from_undirected_edges(
-        6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (3, 4)]
-    )
-    errors = []
-    for _ in range(2):
-        with pytest.raises(SurvivabilityError) as err:
-            disjoint_pair_candidates(topo, Demand(1, 6, 5.0))
-        errors.append((str(err.value), err.value.cut_edge))
+    assert len(searches) == n * (n - 1) // 2
+    assert {frozenset(ends) for ends in searches} == {
+        frozenset(ends) for ends in itertools.combinations(range(1, n + 1), 2)
+    }
+    # a pair that does not exist is searched again, in each direction, and
+    # each direction raises as it does on a fresh topology
+    edges = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (3, 4)]
+    topo = Topology.from_undirected_edges(6, edges)
+    searches.clear()
+    errors = [_search_error(topo, 1, 6) for _ in range(2)]
     assert errors[0] == errors[1]
     assert errors[0][1] == (3, 4)
+    reverse = _search_error(topo, 6, 1)
+    assert reverse == _search_error(Topology.from_undirected_edges(6, edges), 6, 1)
+    assert reverse[1] == (3, 4)
+    assert searches == [(1, 6), (1, 6), (6, 1), (6, 1)]
+    assert not topo._pair_walks
+
+
+def _pair_nodes(cands):
+    return [(c.working.nodes, c.protection.nodes) for c in cands]
+
+
+def test_reverse_of_a_finished_walk_equals_fresh_walk():
+    # on one topology, (s, t) then (t, s) at each budget, interleaved or one
+    # direction after the other; every answer equals a fresh topology's walk
+    # and the sorted brute-force pairs, and every error a fresh search's
+    graphs = [(topo, itertools.combinations(range(1, topo.node_count + 1), 2))
+              for topo in _random_connected_graphs(30)]
+    for rows in (3, 4):
+        for cols in range(3, 6):
+            corners = [(1, rows * cols), (cols, (rows - 1) * cols + 1)]
+            graphs.append((grid_topology(rows, cols), corners))
+    for n in (8, 10):
+        topo = generate_ring(n).topology
+        graphs.append((topo, itertools.combinations(range(1, n + 1), 2)))
+    budgets = (1, 2, 8, 64)
+    mirrored = swapped = bridged = 0
+    for topo, ends in graphs:
+        n, edges = topo.node_count, topo.undirected_edges
+        interleaved, sequential = Topology(n, edges), Topology(n, edges)
+        for s, t in ends:
+            expected = {(a, b): brute_min_pairs(topo, a, b) for a, b in ((s, t), (t, s))}
+            if not expected[(s, t)]:
+                bridged += 1
+                for a, b in ((s, t), (t, s)) * 2:
+                    fresh = _search_error(Topology(n, edges), a, b)
+                    assert _search_error(interleaved, a, b) == fresh
+                    assert _search_error(sequential, a, b) == fresh
+                continue
+            asked = [(interleaved, a, b, k) for k in budgets for a, b in ((s, t), (t, s))]
+            asked += [(sequential, a, b, k) for a, b in ((s, t), (t, s)) for k in budgets]
+            for shared, a, b, k in asked:
+                walks = shared._pair_walks
+                reverse = walks.get((b, a))
+                mirror = (a, b) not in walks and reverse is not None and reverse.done
+                cands = disjoint_pair_candidates(shared, Demand(a, b, 1.0), k)
+                assert cands == disjoint_pair_candidates(Topology(n, edges), Demand(a, b, 1.0), k)
+                assert _pair_nodes(cands) == expected[(a, b)][:k]
+                if not mirror:
+                    continue
+                mirrored += 1
+                walk = walks[(a, b)]
+                assert walk.done
+                assert _pair_nodes(walk.pairs) == expected[(a, b)]
+                by_working = {}
+                for pair in walk.pairs:
+                    assert by_working.setdefault(pair.working.nodes, pair.working) is pair.working
+                # a pair whose working path was the reverse's protection
+                back = set(_pair_nodes(reverse.pairs))
+                swapped += any(
+                    (pair.protection.nodes[::-1], pair.working.nodes[::-1]) in back
+                    for pair in walk.pairs
+                )
+    assert mirrored > 0 and swapped > 0 and bridged > 0
 
 
 def test_resumed_walk_equals_fresh_walk():
@@ -420,30 +499,34 @@ def _recording_without_fibres(monkeypatch) -> list[tuple[int, ...]]:
     return working_paths
 
 
-def test_ring_walk_builds_one_reduced_graph_per_ordered_pair(monkeypatch):
+def test_ring_walk_builds_one_reduced_graph_per_unordered_pair(monkeypatch):
     # a ring demand has one optimal pair, whose working path is the only
-    # one short enough, so routing and the k=8 pool share one reduced graph
+    # one short enough, so routing and the k=8 pool share one reduced graph;
+    # the walk runs out below the budget, so its reverse walks nothing
     working_paths = _recording_without_fibres(monkeypatch)
     inst = generate_ring(9)
     select_pairs_osh(inst, route_instance(inst))
-    assert len(working_paths) == 9 * 8
+    assert len(working_paths) == 9 * 8 // 2
 
 
-@pytest.mark.parametrize("argv,budget", [
-    (["--heuristic", "osh"], 8),
-    (["--heuristic", "osh", "--budget", "3"], 3),
-    (["--heuristic", "conventional"], 1),
+@pytest.mark.parametrize("argv,budget,served", [
+    (["--heuristic", "osh"], 8, {(1, 9)}),
+    (["--heuristic", "osh", "--budget", "3"], 3, set()),
+    (["--heuristic", "conventional"], 1, set()),
 ])
-def test_cli_walks_each_ordered_pair_once(argv, budget, monkeypatch, capsys, tmp_path):
+def test_cli_walks_each_ordered_pair_once(argv, budget, served, monkeypatch, capsys, tmp_path):
     # every node of the 3x3 grid sends to the corners 1 and 9; working path
     # 1-2-3-6-9 of 1 -> 9 has two protections, so a k=1 walk extended to the
-    # pool would build its reduced graph twice
+    # pool would build its reduced graph twice.  9 -> 1, routed first, has
+    # four optimal pairs: at k=8 its walk runs out and serves 1 -> 9 reversed
+    # (``served``), at k=3 and k=1 it does not, and 1 -> 9 walks
     demands = tuple(Demand(s, t, 20.0) for t in (1, 9) for s in range(1, 10) if s != t)
     path = tmp_path / "grid3.net"
     path.write_text(serialize_instance(model.Instance(grid_topology(3, 3), demands)))
     working_paths = _recording_without_fibres(monkeypatch)
     for d in demands:
-        disjoint_pair_candidates(grid_topology(3, 3), d, budget)
+        if (d.source, d.dest) not in served:
+            disjoint_pair_candidates(grid_topology(3, 3), d, budget)
     fresh = list(working_paths)
     working_paths.clear()
     assert cli.main(["analyze", "--instance", str(path), *argv]) == 0
