@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -29,7 +30,7 @@ from ncpower.coding import (
     select_pairs_osh,
 )
 from ncpower.errors import ContractError, FeasibilityError
-from ncpower.matching import exhaustive_matching, max_weight_matching
+from ncpower.matching import exhaustive_matching, max_weight_matching, verify_optimum
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
 from ncpower.oracle import optimal_joint
 from ncpower.power import eval_with_coding
@@ -218,6 +219,25 @@ def test_matching_returns_networkx_pairs(monkeypatch):
         assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
 
 
+def test_matching_returns_networkx_pairs_on_other_clusters(monkeypatch):
+    # the osh clusters of a full mesh, of a grid whose every node sends to two
+    # opposite corners with volumes 10, 20 and 40 (units 1, 2 and 4), and of
+    # the arbitrary 11-node instance
+    rng = random.Random(6)
+    grid = grid_topology(6, 6)
+    corners = Instance(grid, tuple(
+        Demand(s, t, rng.choice((10.0, 20.0, 40.0))) for t in (1, 36) for s in range(1, 37) if s != t
+    ))
+    cases = []
+    monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append((n, weights)) or [])
+    for inst in (generate_full_mesh(12, 20.0), corners, load_instance((DATA_DIR / "arbitrary11.net").read_text())):
+        select_pairs_osh(inst, route_instance(inst))
+    assert [n for n, _ in cases] == [11] * 12 + [35, 35, 2]
+    assert {w for _, weights in cases[12:14] for w in weights.values()} > {1, 2, 4}
+    for n, weights in cases:
+        assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
+
+
 def test_dense_matching_returns_networkx_pairs():
     # complete graphs, as every ring cluster is: each S-vertex scan meets
     # every other blossom, so the cached best-edge slacks and the tight-edge
@@ -229,6 +249,20 @@ def test_dense_matching_returns_networkx_pairs():
         hops = {e: rng.choice((10, 20, 40)) * rng.randint(1, 8) for e in edges}
         for weights in (ties, hops):
             assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
+
+
+def test_wide_weight_matching_returns_networkx_pairs():
+    # weights 1..20 on 10..20 vertices, sparse to complete: a few graphs in
+    # a thousand reach a scan that must read its blossom's best slack afresh
+    # after add_blossom
+    rng = random.Random(1986)
+    for _ in range(1000):
+        n = rng.randint(10, 20)
+        density = rng.choice((0.3, 0.6, 1.0))
+        weights = {
+            e: rng.randint(1, 20) for e in itertools.combinations(range(n), 2) if rng.random() < density
+        }
+        assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
 
 
 def test_matching_leaves_no_garbage(monkeypatch):
@@ -318,6 +352,96 @@ def test_matching_rejects_float_weights():
         max_weight_matching(3, {(0, 1): 2, (1, 2): 2.0})
     with pytest.raises(ContractError, match="not an int"):
         max_weight_pairs(2, {(0, 1): 0.5})
+
+
+def test_matching_enforces_edge_keys():
+    # each key must be (i, j) with 0 <= i < j < n; reversed, repeated,
+    # out-of-range and negative vertices are refused, naming the edge
+    for n, weights, edge in (
+        (2, {(1, 0): 5}, "(1, 0)"),
+        (2, {(0, 1): 5, (1, 0): 7}, "(1, 0)"),
+        (2, {(0, 2): 5}, "(0, 2)"),
+        (2, {(-1, 0): 5}, "(-1, 0)"),
+        (2, {(1, 1): 5}, "(1, 1)"),
+        (0, {(0, 1): 5}, "(0, 1)"),
+    ):
+        with pytest.raises(ContractError, match=re.escape(f"edge {edge} is not")):
+            max_weight_matching(n, weights)
+
+
+def _dual_state(weights, mate, dualvar, blossoms):
+    """verify_optimum's arguments for a hand-built end state on len(mate)
+    vertices; each blossom is (id, children, cycle edges, dual)."""
+    n = len(mate)
+    adjacency = [[] for _ in range(n)]
+    weight2 = [[0] * n for _ in range(n)]
+    for (i, j), w in sorted(weights.items()):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+        weight2[i][j] = weight2[j][i] = 2 * w
+    parent = [-1] * (2 * n)
+    dual = [0] * (2 * n)
+    cycles = [[] for _ in range(2 * n)]
+    for b, children, cycle, z in blossoms:
+        for child in children:
+            parent[child] = b
+        dual[b] = z
+        cycles[b] = cycle
+    return adjacency, weight2, list(mate), list(dualvar), parent, dual, [b for b, *_ in blossoms], cycles
+
+
+# an optimum on 5 vertices: a zero-dual blossom 6 holds the positive-dual
+# blossom 5 = {0, 1, 2} and the matched edge (3, 4); vertex 0 is single.
+# Edge (0, 1) is tight only through blossom 5's dual: 0 + 0 - 2 * 2 + 2 * 2
+_NESTED = {
+    "weights": {(0, 1): 2, (0, 2): 2, (1, 2): 2, (2, 3): 1, (3, 4): 2, (0, 4): 1},
+    "mate": [-1, 2, 1, 4, 3],
+    "dualvar": [0, 0, 0, 2, 2],
+    "blossoms": [
+        (5, [0, 1, 2], [(0, 1), (1, 2), (2, 0)], 2),
+        (6, [5, 3, 4], [(2, 3), (3, 4), (4, 0)], 0),
+    ],
+}
+
+
+def _nested(**changes):
+    return _dual_state(**{**_NESTED, **changes})
+
+
+def test_dual_check_counts_only_blossoms_round_both_ends():
+    verify_optimum(*_nested())
+    # at slack 0 the edge passes; one unit of weight more and it fails
+    with pytest.raises(ContractError, match=re.escape("edge (0, 1) has negative slack")):
+        verify_optimum(*_nested(weights={**_NESTED["weights"], (0, 1): 3}))
+    # blossom 5 holds 2 but not 4, so its dual does not lift edge (2, 3) or (0, 4)
+    for edge in ((2, 3), (0, 4)):
+        with pytest.raises(ContractError, match=re.escape(f"edge {edge} has negative slack")):
+            verify_optimum(*_nested(weights={**_NESTED["weights"], edge: 2}))
+    # nor do two positive-dual blossoms side by side lift an edge between them
+    triangles = {(0, 1): 2, (0, 2): 2, (1, 2): 2, (3, 4): 2, (3, 5): 2, (4, 5): 2}
+    siblings = {
+        "mate": [-1, 2, 1, -1, 5, 4],
+        "dualvar": [0] * 6,
+        "blossoms": [(6, [0, 1, 2], [(0, 1), (1, 2), (2, 0)], 2), (7, [3, 4, 5], [(3, 4), (4, 5), (5, 3)], 2)],
+    }
+    verify_optimum(*_dual_state(triangles, **siblings))
+    with pytest.raises(ContractError, match=re.escape("edge (0, 3) has negative slack")):
+        verify_optimum(*_dual_state({**triangles, (0, 3): 1}, **siblings))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"dualvar": [0, 0, 0, 3, -1]}, "negative dual variable"),
+    ({"blossoms": [_NESTED["blossoms"][0], (6, [5, 3, 4], [(2, 3), (3, 4), (4, 0)], -1)]},
+     "negative dual variable"),
+    ({"weights": {**_NESTED["weights"], (3, 4): 3}}, "edge (3, 4) has negative slack"),
+    ({"dualvar": [0, 0, 0, 3, 2]}, "matched edge (3, 4) is not tight"),
+    ({"mate": [-1, 2, 1, 4, -1]}, "matched edge (3, 4) is not tight"),
+    ({"mate": [-1, 2, 1, -1, -1]}, "single vertex 3 has nonzero dual"),
+    ({"mate": [-1, -1, -1, 4, 3]}, "blossom 5 with positive dual is not full"),
+])
+def test_dual_check_refuses_each_broken_condition(changes, message):
+    with pytest.raises(ContractError, match=re.escape(message)):
+        verify_optimum(*_nested(**changes))
 
 
 def test_matching_is_a_matching():
