@@ -1,21 +1,6 @@
 """Power-aware design of 1+1-protected optical networks with XOR-coded protection."""
 
-from .bounds import (
-    BoundReport,
-    RingClass,
-    bound_nc,
-    closed_form,
-    mesh_fluctuation,
-    mesh_power,
-    mesh_savings_fraction,
-    min_hop_table,
-    ring_classify,
-    ring_conventional_hops,
-    ring_power,
-    ring_savings_fraction,
-    ring_shared_hops,
-    uniform_bound,
-)
+from .bounds import BoundReport, bound_nc, closed_form, uniform_bound
 from .coding import (
     EMPTY_ASSIGNMENT,
     KIND_COMBOS,

@@ -23,6 +23,7 @@ from .coding import (
     select_pairs_osh,
 )
 from .errors import (
+    DomainError,
     InstanceError,
     NcPowerError,
     OracleGuardError,
@@ -67,15 +68,28 @@ def _volume_label(volume: float) -> str:
     return label if float(label) == volume else repr(volume)
 
 
+def _parse_sizes(spec: str, form: str, most: int) -> tuple[str, list[int]]:
+    """``spec`` of ``form``, a kind and 1 to ``most`` integers, as ``(kind, integers)``.
+
+    The first integer is a size; below 3 it is refused with the generators'
+    wording, before any demand count is formed from it.
+    """
+    kind, *parts = spec.split(":")
+    if kind not in ("mesh", "ring") or not 1 <= len(parts) <= most:
+        raise InstanceError(f"generator spec {spec!r} is not {form}")
+    try:
+        numbers = [int(p) for p in parts]
+    except ValueError:
+        raise InstanceError(f"generator spec {spec!r}: sizes must be integers") from None
+    if numbers[0] < 3:
+        raise DomainError(f"n={numbers[0]}: 1+1 protection is undefined below 3 nodes")
+    return kind, numbers
+
+
 def _parse_gen(spec: str) -> tuple[str, int]:
     """``mesh:N`` or ``ring:N`` as ``(kind, N)``."""
-    kind, _, size = spec.partition(":")
-    if kind not in ("mesh", "ring") or not size:
-        raise InstanceError(f"generator spec {spec!r} is not mesh:N or ring:N")
-    try:
-        return kind, int(size)
-    except ValueError:
-        raise InstanceError(f"generator size {size!r} is not an integer") from None
+    kind, (n,) = _parse_sizes(spec, "mesh:N or ring:N", 1)
+    return kind, n
 
 
 def _require_evaluable(what: str, demands: int):
@@ -330,14 +344,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _parse_size_range(spec: str) -> tuple[str, range]:
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind not in ("mesh", "ring") or len(parts) not in (2, 3, 4):
-        raise InstanceError(f"sweep spec {spec!r} is not mesh:LO[:HI[:STEP]] or ring:...")
-    try:
-        numbers = [int(p) for p in parts[1:]]
-    except ValueError:
-        raise InstanceError(f"sweep spec {spec!r}: sizes must be integers") from None
+    kind, numbers = _parse_sizes(spec, "mesh:LO[:HI[:STEP]] or ring:...", 3)
     lo = numbers[0]
     hi = numbers[1] if len(numbers) > 1 else lo
     step = numbers[2] if len(numbers) > 2 else 1

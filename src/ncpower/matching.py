@@ -44,17 +44,17 @@ def max_weight_matching(n: int, weights: dict[tuple[int, int], int]) -> list[tup
     """Pairs ``(i, j)``, ``i < j``, ascending, of a maximum-weight matching.
 
     ``weights`` maps each edge ``(i, j)`` with ``0 <= i < j < n`` to its
-    ``int`` weight; a key out of that order or range, or a weight that is
-    not an ``int``, raises ContractError naming the edge.  The dual
-    variables stay integral, and the result is checked for dual optimality
-    by ``verify_optimum`` before it is returned.
+    ``int`` weight; a key of non-``int`` vertices or out of that order or
+    range, or a weight that is not an ``int``, raises ContractError naming
+    the edge.  The dual variables stay integral, and the result is checked
+    for dual optimality by ``verify_optimum`` before it is returned.
     """
     adjacency: list[list[int]] = [[] for _ in range(n)]
     # twice each weight: slacks and duals are kept pre-multiplied by two
     weight2 = [[0] * n for _ in range(n)]
     maxweight = 0
     for i, j in sorted(weights):
-        if not 0 <= i < j < n:
+        if type(i) is not int or type(j) is not int or not 0 <= i < j < n:
             raise ContractError(f"max-weight matching: edge ({i}, {j}) is not (i, j) with 0 <= i < j < {n}")
         w = weights[(i, j)]
         if type(w) is not int:

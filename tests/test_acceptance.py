@@ -17,13 +17,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from ncpower.bounds import (
-    bound_nc,
-    mesh_fluctuation,
-    mesh_savings_fraction,
-    min_hop_table,
-    ring_savings_fraction,
-)
+from ncpower.bounds import bound_nc, closed_form
 from ncpower.coding import (
     EMPTY_ASSIGNMENT,
     KIND_COMBOS,
@@ -158,8 +152,9 @@ def test_acceptance_4_ring_size_sweep(capsys):
         routing = route_instance(inst)
         sel = select_pairs_fixed(inst, routing, PP)
         pp_fraction = eval_with_coding(inst, sel.routing, sel.assignment).savings_fraction
-        if pp_fraction != ring_savings_fraction(n):
-            problems.append(f"pp({n})={pp_fraction} vs {ring_savings_fraction(n)}")
+        analytic = closed_form("ring", n, 20.0)[2]
+        if pp_fraction != analytic:
+            problems.append(f"pp({n})={pp_fraction} vs {analytic}")
         osh = heuristic_savings_pct(inst, routing)
         if n <= 9 and abs(osh - REFERENCE_RING_OSH_PCT[n]) > 0.5:
             problems.append(f"osh({n})={osh} vs {REFERENCE_RING_OSH_PCT[n]}")
@@ -211,7 +206,6 @@ def test_acceptance_6_bound_validity(capsys, random_instances_uniform):
         achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
         conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
         report = bound_nc(inst, sel.assignment)
-        min_hops = min_hop_table(inst)
         tol = 1e-9 * max(1.0, conventional)
         if achieved < report.nc_lower_per_demand - tol:
             violations.append(f"#{idx} per-demand bound")
@@ -220,7 +214,7 @@ def test_acceptance_6_bound_validity(capsys, random_instances_uniform):
         if conventional < bound_nc(inst).conventional_lower - tol:
             violations.append(f"#{idx} conventional bound")
         for d, pair in zip(inst.demands, sel.routing):
-            if pair.total_hops < 2 * min_hops[d]:
+            if pair.total_hops < 2 * inst.topology.distances_to(d.dest)[d.source]:
                 violations.append(f"#{idx} hop floor {d}")
     verdict(capsys, 6, "bound validity",
             not violations, f"{len(violations)} violations")
@@ -240,10 +234,10 @@ def test_acceptance_7_structural_identities(capsys):
         drop = Fraction(1, 6) - Fraction(n - 2, 6 * (n - 1))
         if drop != Fraction(1, 6 * (n - 1)):
             problems.append(f"fluctuation identity fails at {n}")
-        if mesh_fluctuation(n) != 1 / (6 * (n - 1)):
-            problems.append(f"mesh_fluctuation({n})")
+        if closed_form("mesh", n, 20.0)[2] != float(Fraction(n - 2, 6 * (n - 1))):
+            problems.append(f"even savings at {n}")
     for n in range(3, 16, 2):
-        if mesh_savings_fraction(n) != 1 / 6:
+        if closed_form("mesh", n, 20.0)[2] != 1 / 6:
             problems.append(f"odd plateau at {n}")
     verdict(capsys, 7, "structural identities", not problems)
     assert not problems, problems
@@ -251,8 +245,8 @@ def test_acceptance_7_structural_identities(capsys):
 
 def test_acceptance_8_large_size_limits(capsys):
     t0 = time.perf_counter()
-    ring_pct = ring_savings_fraction(1001) * 100
-    mesh_pct = mesh_savings_fraction(1000) * 100
+    ring_pct = closed_form("ring", 1001, 20.0)[2] * 100
+    mesh_pct = closed_form("mesh", 1000, 20.0)[2] * 100
     elapsed = time.perf_counter() - t0
     problems = []
     if abs(ring_pct - 37.5) > 0.1:

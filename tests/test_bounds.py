@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,21 +10,7 @@ from fractions import Fraction
 import pytest
 from conftest import exact_bounds, random_survivable_instance, shared_hops_by_demand
 
-from ncpower.bounds import (
-    RingClass,
-    bound_nc,
-    closed_form,
-    mesh_fluctuation,
-    mesh_power,
-    mesh_savings_fraction,
-    min_hop_table,
-    ring_classify,
-    ring_conventional_hops,
-    ring_power,
-    ring_savings_fraction,
-    ring_shared_hops,
-    uniform_bound,
-)
+from ncpower.bounds import BoundReport, bound_nc, closed_form, uniform_bound
 from ncpower.coding import EMPTY_ASSIGNMENT, CodedPair, CodingAssignment, PathKind, select_pairs_osh
 from ncpower.errors import ContractError, DomainError
 from ncpower.model import Demand, Instance, PowerParams, generate_full_mesh, generate_ring
@@ -31,10 +18,10 @@ from ncpower.power import eval_with_coding
 from ncpower.routing import route_instance
 
 EXPECTED_RING_CLASS = {
-    3: RingClass.ODD1, 4: RingClass.EVEN1, 5: RingClass.ODD2, 6: RingClass.EVEN2,
-    7: RingClass.ODD1, 8: RingClass.EVEN1, 9: RingClass.ODD2, 10: RingClass.EVEN2,
-    11: RingClass.ODD1, 12: RingClass.EVEN1, 13: RingClass.ODD2, 14: RingClass.EVEN2,
-    15: RingClass.ODD1,
+    3: "odd-1", 4: "even-1", 5: "odd-2", 6: "even-2",
+    7: "odd-1", 8: "even-1", 9: "odd-2", 10: "even-2",
+    11: "odd-1", 12: "even-1", 13: "odd-2", 14: "even-2",
+    15: "odd-1",
 }
 
 EXPECTED_RING_SHARED = {
@@ -57,12 +44,12 @@ def test_mesh5_bounds_under_optimal_assignment():
     report = bound_nc(inst, sel.assignment)
     assert report.nc_lower_per_demand == pytest.approx(16095.0, abs=1e-9)
     assert report.nc_lower_mean_form == pytest.approx(16095.0, abs=1e-9)
-    min_hops = min_hop_table(inst)
-    assert all(min_hops[d] == 1 for d in inst.demands)
+    min_hops = [inst.topology.distances_to(d.dest)[d.source] for d in inst.demands]
+    assert all(h == 1 for h in min_hops)
     ends = [(d.source, d.dest) for d in inst.demands]
     shared = shared_hops_by_demand(sel.assignment)
     assert all(shared.get(e, 0) == 1 for e in ends)
-    assert all(min_hops[d] - shared.get(e, 0) / 4 == 0.75 for d, e in zip(inst.demands, ends))
+    assert all(h - shared.get(e, 0) / 4 == 0.75 for h, e in zip(min_hops, ends))
     assert report.volume_avg == 20.0
     assert report.characteristic_avg == 0.75
 
@@ -87,11 +74,10 @@ def test_bounds_refuse_a_pair_of_a_demand_the_instance_lacks():
 
 
 def test_mesh_closed_forms():
-    conv, coded, savings = mesh_power(5, 20.0)
+    conv, coded, savings, _ = closed_form("mesh", 5, 20.0)
     assert (conv, coded) == (32190.0, 26825.0)
     assert savings == pytest.approx(1 / 6, abs=0)
-    assert mesh_savings_fraction(14) * 100 == pytest.approx(15.3846, abs=5e-5)
-    assert mesh_fluctuation(14) == pytest.approx(1 / 78, abs=0)
+    assert closed_form("mesh", 14, 20.0)[2] * 100 == pytest.approx(15.3846, abs=5e-5)
 
 
 def test_mesh_fluctuation_identity_exact():
@@ -99,56 +85,109 @@ def test_mesh_fluctuation_identity_exact():
         odd_plateau = Fraction(1, 6)
         even_value = Fraction(n - 2, 6 * (n - 1))
         assert odd_plateau - even_value == Fraction(1, 6 * (n - 1))
-        assert mesh_fluctuation(n) == pytest.approx(float(odd_plateau - even_value), rel=1e-15)
-
-
-def test_ring_classification():
-    for n, expected in EXPECTED_RING_CLASS.items():
-        assert ring_classify(n) is expected
-    assert ring_classify(100) is RingClass.EVEN1
-    assert ring_classify(1001) is RingClass.ODD2
-
-
-def test_ring_shared_hop_table():
-    for n, expected in EXPECTED_RING_SHARED.items():
-        assert ring_shared_hops(n) == expected
-
-
-def test_ring_conventional_hops():
-    for n in range(3, 16):
-        assert ring_conventional_hops(n) == n ** 3 - n ** 2
+        assert closed_form("mesh", n, 20.0)[2:] == (float(even_value), "even")
+        assert closed_form("mesh", n + 1, 20.0)[2:] == (float(odd_plateau), "odd")
 
 
 def test_ring_closed_forms():
-    conv, coded, savings = ring_power(5, 20.0)
+    conv, coded, savings, _ = closed_form("ring", 5, 20.0)
     assert (conv, coded) == (53650.0, 37555.0)
     assert savings == pytest.approx(0.30, abs=0)
 
 
 def test_ring100_case():
-    assert ring_classify(100) is RingClass.EVEN1
-    assert ring_shared_hops(100) == 365000
-    assert ring_savings_fraction(100) * 100 == pytest.approx(36.8687, abs=5e-5)
+    _, _, savings, label = closed_form("ring", 100, 20.0)
+    assert label == "even-1"
+    assert savings == 365000 / (100 ** 3 - 100 ** 2)
+    assert savings * 100 == pytest.approx(36.8687, abs=5e-5)
 
 
 def test_closed_forms_reject_tiny_sizes():
-    for fn in (mesh_power, ring_power):
-        with pytest.raises(DomainError):
-            fn(2, 20.0)
-    with pytest.raises(DomainError):
-        ring_classify(2)
-    with pytest.raises(DomainError):
-        mesh_fluctuation(1)
+    for kind in ("mesh", "ring"):
+        for n in (2, 1):
+            with pytest.raises(DomainError, match="below 3 nodes"):
+                closed_form(kind, n, 20.0)
 
 
 def test_large_size_limits():
     t0 = time.perf_counter()
-    ring_pct = ring_savings_fraction(1001) * 100
-    mesh_pct = mesh_savings_fraction(1000) * 100
+    _, _, ring_savings, ring_label = closed_form("ring", 1001, 20.0)
+    mesh_savings = closed_form("mesh", 1000, 20.0)[2]
     elapsed = time.perf_counter() - t0
-    assert abs(ring_pct - 37.5) <= 0.1
-    assert abs(mesh_pct - 16.6667) <= 0.02
+    assert ring_label == "odd-2"
+    assert abs(ring_savings * 100 - 37.5) <= 0.1
+    assert abs(mesh_savings * 100 - 16.6667) <= 0.02
     assert elapsed < 0.01
+
+
+CORPUS_SIZES = (*range(3, 600), 1001, 1002, 1003, 1004,
+                10 ** 6 + 1, 10 ** 20 + 2, 10 ** 200 + 3, 10 ** 400 + 4, 10 ** 400 + 5)
+CORPUS_VOLUMES = (0.0, 5e-324, 1e-300, 0.1, 20.0, *map(float, range(10, 401, 10)), 1e300, 1.7e308)
+CORPUS_MODELS = (PowerParams(), PowerParams(500.0, 37.0, 10.0), PowerParams(1234.5, 0.1, 100.0),
+                 PowerParams(1e300, 1e300, 1e-5), PowerParams(0.0, 0.0, 1.0))
+
+
+def written_out_closed_form(kind, n, volume, k):
+    """(conventional W, coded W, savings, class) from the closed forms, in floats.
+
+    The hop totals are exact integers; each power is k * V * hops evaluated
+    left to right, and a hop total too large for a float gives inf W, or 0 W
+    when k * V is 0.
+    """
+    if kind == "mesh":
+        label = "odd" if n % 2 else "even"
+        savings = 1 / 6 if n % 2 else (n - 2) / (6 * (n - 1))
+        try:
+            conventional = 3 * k * volume * n * (n - 1)
+        except OverflowError:
+            conventional = math.inf if volume * k else 0.0
+        return conventional, conventional * (1 - savings), savings, label
+    hops = n ** 3 - n ** 2
+    if n % 2:
+        odd1 = (n - 1) // 2 % 2 == 1
+        shared = n * (n - 3) * (3 * n - 1) if odd1 else 3 * n * (n - 1) ** 2
+        label = "odd-1" if odd1 else "odd-2"
+    else:
+        even1 = (n - 2) // 2 % 2 == 1
+        shared = n * n * (3 * n - 8) if even1 else n * (n - 2) * (3 * n - 2)
+        label = "even-1" if even1 else "even-2"
+    shared //= 8
+    try:
+        return k * volume * hops, k * volume * (hops - shared), shared / hops, label
+    except OverflowError:
+        watts = math.inf if volume * k else 0.0
+        return watts, watts, shared / hops, label
+
+
+def rounded(q: Fraction) -> float:
+    """q rounded once to a float; past the float range, inf."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("kind", ["mesh", "ring"])
+def test_closed_forms_equal_written_out_formulas(kind):
+    # bit for bit on every size, volume and device model of the corpus; the
+    # bound is 2kV times the min-hop sum, rounded once, and needs no pairing
+    for n in CORPUS_SIZES:
+        count = n * (n - 1)
+        min_hops = n * (n * n // 4) if kind == "ring" else count
+        for params in CORPUS_MODELS:
+            k = params.slope_w_per_gbps
+            for volume in CORPUS_VOLUMES:
+                case = (n, volume, params)
+                assert closed_form(kind, n, volume, params) == written_out_closed_form(kind, n, volume, k), case
+                conventional = rounded(2 * Fraction(k) * Fraction(volume) * min_hops)
+                characteristic = rounded(Fraction(min_hops, count))
+                expected = BoundReport(conventional, conventional, conventional, volume, characteristic)
+                assert uniform_bound(kind, n, volume, params) == expected, case
+    if kind == "ring":
+        for n, label in EXPECTED_RING_CLASS.items():
+            assert closed_form(kind, n, 20.0)[3] == label
+        for n, shared in EXPECTED_RING_SHARED.items():
+            assert closed_form(kind, n, 20.0)[2] == shared / (n ** 3 - n ** 2)
 
 
 def test_bounds_never_exceed_achieved_power():
@@ -170,9 +209,8 @@ def test_min_hop_pair_floor():
     # each demand's pair costs at least twice its min-hop distance
     rng = random.Random(22)
     inst = random_survivable_instance(rng, volume=20.0)
-    min_hops = min_hop_table(inst)
     for d, pair in zip(inst.demands, route_instance(inst)):
-        assert pair.total_hops >= 2 * min_hops[d]
+        assert pair.total_hops >= 2 * inst.topology.distances_to(d.dest)[d.source]
 
 
 UNIFORM_VOLUMES = (0.0, 0.001, 0.1, 1 / 3, 20.0, 33.5, 1e6)

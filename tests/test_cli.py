@@ -149,6 +149,19 @@ def test_generated_size_guard_exit_3():
         _require_evaluable("mesh:142", 142 * 141)  # 20,022 demands
 
 
+def test_sizes_below_3_exit_3_before_demands_are_counted(capsys):
+    # a negative size must not pass the demand guard as N(N-1) demands
+    for argv, size in (
+        (["analyze", "--gen", "ring:-200"], -200),
+        (["analyze", "--gen", "mesh:-141", "--sweep", "1:2:1"], -141),
+        (["sweep", "--gen", "ring:-300:3", "--heuristic", "osh"], -300),
+    ):
+        assert cli.main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert f"n={size}: 1+1 protection is undefined below 3 nodes" in err
+        assert "demands" not in err
+
+
 class _Generated(Exception):
     pass
 

@@ -355,8 +355,9 @@ def test_matching_rejects_float_weights():
 
 
 def test_matching_enforces_edge_keys():
-    # each key must be (i, j) with 0 <= i < j < n; reversed, repeated,
-    # out-of-range and negative vertices are refused, naming the edge
+    # each key must be (i, j) of ints with 0 <= i < j < n; reversed,
+    # repeated, out-of-range, negative and non-int vertices are refused,
+    # naming the edge
     for n, weights, edge in (
         (2, {(1, 0): 5}, "(1, 0)"),
         (2, {(0, 1): 5, (1, 0): 7}, "(1, 0)"),
@@ -364,6 +365,8 @@ def test_matching_enforces_edge_keys():
         (2, {(-1, 0): 5}, "(-1, 0)"),
         (2, {(1, 1): 5}, "(1, 1)"),
         (0, {(0, 1): 5}, "(0, 1)"),
+        (3, {(0, 1.0): 5}, "(0, 1.0)"),
+        (3, {(True, 2): 5}, "(True, 2)"),
     ):
         with pytest.raises(ContractError, match=re.escape(f"edge {edge} is not")):
             max_weight_matching(n, weights)

@@ -11,7 +11,7 @@ from conftest import random_survivable_instance, routed_shared_links
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncpower.bounds import ring_savings_fraction
+from ncpower.bounds import closed_form
 from ncpower.coding import (
     EMPTY_ASSIGNMENT,
     KIND_COMBOS,
@@ -192,7 +192,7 @@ def test_power_past_the_float_range_is_not_nan():
         report = eval_with_coding(inst, sel.routing, sel.assignment)
         assert report.p_conventional == math.inf
         assert report.p_total == pytest.approx(total, rel=1e-5)
-        assert report.savings_fraction == ring_savings_fraction(6)
+        assert report.savings_fraction == closed_form("ring", 6, volume)[2]
 
 
 def test_saving_past_the_float_range_is_inf():
