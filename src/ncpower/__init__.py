@@ -33,7 +33,6 @@ from .model import (
 from .oracle import OracleResult, optimal_joint, optimal_matching
 from .power import PowerReport, eval_with_coding
 from .routing import (
-    Path,
     PathKind,
     PathPair,
     disjoint_pair_candidates,

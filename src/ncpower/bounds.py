@@ -54,15 +54,13 @@ class BoundReport:
 def _bound_report(
     slope: float,
     volumes: dict[float, tuple[int, int]],
-    shared_total: int,
     cuts: dict[float, int],
 ) -> BoundReport:
     """The five bound numbers from integer sums, each rounded once.
 
     ``volumes`` maps each distinct volume V to (demand count, sum of h_min) of
-    its demands; ``shared_total`` sums the shared hops of every demand's coded
-    pair, and ``cuts`` maps min(V1, V2), a key of ``volumes``, to the summed
-    shared hops of the pairs with that smaller volume.
+    its demands, and ``cuts`` maps min(V1, V2), a key of ``volumes``, to the
+    summed shared hops of the coded pairs with that smaller volume.
     """
     count = sum(c for c, _ in volumes.values())
     if not count:
@@ -74,8 +72,9 @@ def _bound_report(
     vh_num = sum(num_of[v] * h for v, (_, h) in volumes.items())
     v_num = sum(num_of[v] * c for v, (c, _) in volumes.items())
     cut_num = sum(num_of[v] * s for v, s in cuts.items())
-    # characteristic sum: sum(h - s/4) = (4 sum h - sum s) / 4
-    quarter_hops = 4 * hops - shared_total
+    # characteristic sum: sum(h - s/4) = (4 sum h - sum s) / 4, where each
+    # pair's shared hops count once for each of its two demands
+    quarter_hops = 4 * hops - 2 * sum(cuts.values())
     return BoundReport(
         conventional_lower=round_ratio(2 * k_num * vh_num, k_den * den),
         nc_lower_per_demand=round_ratio(k_num * (2 * vh_num - cut_num), k_den * den),
@@ -103,9 +102,7 @@ def bound_nc(instance: Instance, assignment: CodingAssignment = EMPTY_ASSIGNMENT
                 raise ContractError("coded pair references unknown demand {}->{}".format(*ends))
         v = min(volume[p.first], volume[p.second])
         cuts[v] = cuts.get(v, 0) + p.shared_hops
-    # each pair's shared hops count once for each of its two demands
-    shared_total = 2 * sum(cuts.values())
-    return _bound_report(instance.power.slope_w_per_gbps, volumes, shared_total, cuts)
+    return _bound_report(instance.power.slope_w_per_gbps, volumes, cuts)
 
 
 def _require_uniform(kind: str, n: int, volume: float):
@@ -128,7 +125,7 @@ def uniform_bound(
     _require_uniform(kind, n, volume)
     count = n * (n - 1)
     hops = n * (n * n // 4) if kind == "ring" else count
-    return _bound_report(params.slope_w_per_gbps, {volume: (count, hops)}, 0, {})
+    return _bound_report(params.slope_w_per_gbps, {volume: (count, hops)}, {})
 
 
 def closed_form(

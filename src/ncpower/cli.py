@@ -392,7 +392,7 @@ def _cmd_sweep(args) -> int:
                 f"joint oracle refuses {kind}:{sizes[-1]} ({sizes[-1]} nodes, limit "
                 f"{JOINT_NODE_GUARD}); narrow the sweep or drop the oracle column"
             )
-    if len(sizes) > SWEEP_POINT_LIMIT:
+    if sizes[SWEEP_POINT_LIMIT:]:  # not len(), which overflows past sys.maxsize sizes
         raise InstanceError(f"sweep {args.gen} spans more than {SWEEP_POINT_LIMIT} sizes")
 
     header = ["size", "class", "analytic_pct"] + [f"{h}_pct" for h in heuristics]

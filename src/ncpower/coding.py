@@ -185,11 +185,10 @@ def _select(
                 for idx, pair in enumerate(pool):
                     path = pair.protection if kind else pair.working
                     if path is last:
-                        continue  # candidates share their working path's object
+                        continue  # candidates share their working path's tuple
                     last = path
-                    nodes = path.nodes
                     mask = 0
-                    for link in zip(nodes, nodes[1:]):
+                    for link in zip(path, path[1:]):
                         mask |= 1 << bit.setdefault(link, len(bit))
                     first.setdefault(mask, idx)
                 masks[kind].extend(first)

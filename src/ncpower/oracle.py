@@ -99,7 +99,10 @@ def _search(
         cluster_pools = [pools[d] for d in demands]
         # each candidate path's link set, built once per cluster
         link_sets = [
-            [{kind: pair.path(kind).link_set for kind in PathKind} for pair in pool]
+            [
+                {kind: frozenset(zip(pair.path(kind), pair.path(kind)[1:])) for kind in PathKind}
+                for pair in pool
+            ]
             for pool in cluster_pools
         ]
 

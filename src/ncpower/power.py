@@ -62,9 +62,9 @@ def eval_with_coding(
             if ends not in by_ends:
                 raise ContractError("coded pair references unrouted demand {}->{}".format(*ends))
         first, second = by_ends[coded.first], by_ends[coded.second]
-        nodes = by_demand[first].path(coded.first_kind).nodes
+        nodes = by_demand[first].path(coded.first_kind)
         on_first = set(zip(nodes, nodes[1:]))
-        nodes = by_demand[second].path(coded.second_kind).nodes
+        nodes = by_demand[second].path(coded.second_kind)
         shared = sum(map(on_first.__contains__, zip(nodes, nodes[1:])))
         if shared < coded.shared_hops:
             raise ContractError(

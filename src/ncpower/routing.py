@@ -13,7 +13,7 @@ holds the minimum total, the pairs found and whether the walk has run out.
 There is one search per unordered pair, and a finished walk serves its
 reverse.  Routing walks each demand to the selectors' budget, so their calls
 only read the record.
-Paths keep only their node tuples; their link views are rebuilt on each read.
+A path is its node tuple.
 """
 from __future__ import annotations
 
@@ -23,38 +23,10 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, RoutingError, SurvivabilityError
-from .model import Demand, Instance, Link, Topology, bfs_dist, undirected
+from .model import Demand, Instance, Topology, bfs_dist, undirected
 
 # disjoint-pair candidates per demand when the caller names no budget
 CANDIDATE_BUDGET = 8
-
-
-@dataclass(frozen=True, slots=True)
-class Path:
-    """A simple path stored as its node sequence.
-
-    Only the nodes are stored; the link views are built on each read, so a
-    path held for a whole run costs its node tuple and no more.
-    """
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ContractError("a path needs at least two nodes")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ContractError(f"path {self.nodes} revisits a node")
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def link_set(self) -> frozenset[Link]:
-        return frozenset(zip(self.nodes, self.nodes[1:]))
-
-    def __str__(self) -> str:
-        return "-".join(map(str, self.nodes))
 
 
 class PathKind(Enum):
@@ -64,38 +36,44 @@ class PathKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class PathPair:
-    """Working and protection path of one (source, dest); disjoint in the fibre view."""
+    """Working and protection path of one (source, dest); disjoint in the fibre view.
 
-    working: Path
-    protection: Path
+    Each path is its node tuple: at least two nodes, none repeated.
+    """
+
+    working: tuple[int, ...]
+    protection: tuple[int, ...]
 
     def __post_init__(self):
-        w, p = self.working.nodes, self.protection.nodes
+        w, p = self.working, self.protection
+        for nodes in (w, p):
+            if len(nodes) < 2:
+                raise ContractError(f"path {nodes} needs at least two nodes")
+            if len(set(nodes)) != len(nodes):
+                raise ContractError(f"path {nodes} revisits a node")
         if (w[0], w[-1]) != (p[0], p[-1]):
-            raise ContractError(
-                f"paths {self.working} and {self.protection} do not share their endpoints"
-            )
+            raise ContractError(f"paths {w} and {p} do not share their endpoints")
         fibres = set(zip(w, w[1:]))
         fibres.update(zip(w[1:], w))
         if not fibres.isdisjoint(zip(p, p[1:])):
-            raise ContractError(f"paths {self.working} and {self.protection} share a fibre")
-        if self.working.hop_count > self.protection.hop_count:
+            raise ContractError(f"paths {w} and {p} share a fibre")
+        if len(w) > len(p):
             raise ContractError("working path must not be longer than protection")
 
     @property
     def ends(self) -> tuple[int, int]:
         """(source, dest) of both paths."""
-        return self.working.nodes[0], self.working.nodes[-1]
+        return self.working[0], self.working[-1]
 
     @property
     def total_hops(self) -> int:
-        return self.working.hop_count + self.protection.hop_count
+        return len(self.working) + len(self.protection) - 2
 
-    def path(self, kind: PathKind) -> Path:
+    def path(self, kind: PathKind) -> tuple[int, ...]:
         return self.working if kind is PathKind.WORKING else self.protection
 
 
-def shortest_path(topology: Topology, source: int, dest: int) -> Path:
+def shortest_path(topology: Topology, source: int, dest: int) -> tuple[int, ...]:
     """Lexicographically smallest minimum-hop path from source to dest.
 
     It follows the topology's hop-distance table to dest downhill, taking the
@@ -112,7 +90,7 @@ def shortest_path(topology: Topology, source: int, dest: int) -> Path:
             if dist_to_dest.get(nb, -1) == dist_to_dest[here] - 1:
                 nodes.append(nb)
                 break
-    return Path(tuple(nodes))
+    return tuple(nodes)
 
 
 @dataclass(slots=True)
@@ -139,7 +117,7 @@ def _suurballe_total(topology: Topology, source: int, dest: int) -> int:
     augmenting path.  Among equal distances dest is popped first, which
     ends the search early without changing any distance.
     """
-    base = shortest_path(topology, source, dest).nodes
+    base = shortest_path(topology, source, dest)
     adjacency = topology.adjacency
     to_dest = topology.distances_to(dest)
     forward = set(zip(base, base[1:]))
@@ -231,7 +209,7 @@ def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int
     """Walk from the source until ``walk`` holds the first k pairs or has run out.
 
     Working paths W are walked outside, protections P inside.  The pairs of
-    one W share its one ``Path``.
+    one W share the one tuple that the walk yields for it.
     """
     adjacency = topology.adjacency
     pairs = walk.pairs = []
@@ -239,14 +217,12 @@ def _walk_on(topology: Topology, walk: _PairWalk, source: int, dest: int, k: int
         adjacency, topology.distances_to(dest), source, dest, walk.total // 2
     ):
         reduced = _without_fibres(adjacency, working)
-        working_path = None
         for protection in _simple_paths_upto(
             reduced, bfs_dist(reduced, dest), source, dest, walk.total - len(working) + 1
         ):
             if len(protection) == len(working) and protection < working:
                 continue
-            working_path = working_path or Path(working)
-            pairs.append(PathPair(working_path, Path(protection)))
+            pairs.append(PathPair(working, protection))
             if len(pairs) == k:
                 return
     walk.done = True
@@ -258,18 +234,18 @@ def _mirrored(walk: _PairWalk) -> _PairWalk:
     Fibres come in pairs, so reversing both paths of each optimal pair of
     (t, s) gives every optimal pair of (s, t).  The shorter path is the
     working one (the smaller on a tie), and the pairs of one working path
-    share its one ``Path``.
+    share one tuple of it.
     """
     reversed_pairs = []
     for pair in walk.pairs:
-        w, p = pair.working.nodes[::-1], pair.protection.nodes[::-1]
+        w, p = pair.working[::-1], pair.protection[::-1]
         reversed_pairs.append((p, w) if len(p) == len(w) and p < w else (w, p))
     mirror = _PairWalk(walk.total, done=True)
-    working_path = None
+    working = None
     for w, p in sorted(reversed_pairs):
-        if working_path is None or working_path.nodes != w:
-            working_path = Path(w)
-        mirror.pairs.append(PathPair(working_path, Path(p)))
+        if w != working:
+            working = w
+        mirror.pairs.append(PathPair(working, p))
     return mirror
 
 

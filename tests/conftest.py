@@ -34,6 +34,11 @@ def all_simple_paths(topology: Topology, source: int, dest: int) -> list[tuple[i
     return out
 
 
+def link_set(nodes: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The directed links of the path ``nodes``."""
+    return frozenset(zip(nodes, nodes[1:]))
+
+
 def _edges_of(path: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     return frozenset(tuple(sorted(e)) for e in zip(path, path[1:]))
 
@@ -140,8 +145,7 @@ def reference_selection(instance: Instance, pools: dict, combos) -> tuple[list[t
     def link_sets(pool, kind):
         seen = {}
         for idx, pair in enumerate(pool):
-            nodes = pair.path(kind).nodes
-            seen.setdefault(frozenset(zip(nodes, nodes[1:])), idx)
+            seen.setdefault(link_set(pair.path(kind)), idx)
         return list(seen.items())
 
     routing = {d: pool[0] for d, pool in pools.items()}
@@ -180,8 +184,8 @@ def routed_shared_links(routing, pairs) -> list[frozenset]:
     by_ends = {pair.ends: pair for pair in routing}
     links = []
     for coded in pairs:
-        first = by_ends[coded.first].path(coded.first_kind).link_set
-        shared = first & by_ends[coded.second].path(coded.second_kind).link_set
+        first = link_set(by_ends[coded.first].path(coded.first_kind))
+        shared = first & link_set(by_ends[coded.second].path(coded.second_kind))
         assert coded.shared_hops == len(shared)
         links.append(shared)
     return links

@@ -190,6 +190,36 @@ def test_closed_forms_equal_written_out_formulas(kind):
             assert closed_form(kind, n, 20.0)[2] == shared / (n ** 3 - n ** 2)
 
 
+# osh's shared hops over the demands to node 1 of a uniform ring or mesh; on
+# odd-1 rings (N = 3 mod 4) osh finds more than the paper's protection-side
+# matching, elsewhere exactly the closed form's shared total / N
+SLICE_SHARED = {
+    ("ring", 127): 5953, ("ring", 129): 6144, ("ring", 130): 6208, ("ring", 132): 6402,
+    ("ring", 139): 7141, ("ring", 141): 7350, ("mesh", 140): 69, ("mesh", 141): 70,
+}
+
+
+@pytest.mark.parametrize(("kind", "n"), SLICE_SHARED)
+def test_one_destination_slice_meets_closed_form(kind, n):
+    # a ring demand has at most two optimal pairs, so every cluster has the
+    # same optimum and N slices make the full total; on a mesh the equality
+    # is measured.  Ring slices 127 to 130 put the longest path on both sides
+    # of 128 hops.
+    full = (generate_ring if kind == "ring" else generate_full_mesh)(n)
+    inst = Instance(full.topology, tuple(d for d in full.demands if d.dest == 1))
+    selection = select_pairs_osh(inst, route_instance(inst))
+    shared = sum(pair.shared_hops for pair in selection.assignment.pairs)
+    _, _, savings, label = closed_form(kind, n, 20.0)
+    hops = n * n * (n - 1) if kind == "ring" else 3 * n * (n - 1)
+    closed, rest = divmod(round(savings * hops), n)
+    assert rest == 0
+    assert shared == SLICE_SHARED[(kind, n)]
+    if label == "odd-1":
+        assert shared > closed
+    else:
+        assert shared == closed
+
+
 def test_bounds_never_exceed_achieved_power():
     rng = random.Random(21)
     for _ in range(10):

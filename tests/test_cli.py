@@ -248,11 +248,12 @@ def test_sweep_size_count_guard(monkeypatch, capsys):
     # row; the count is refused before any closed form is computed (the
     # patched closed_form raises on its first call)
     monkeypatch.setattr(cli, "closed_form", _refuse_generation)
-    spec = f"ring:3:{SWEEP_POINT_LIMIT + 3}"
-    assert cli.main(["sweep", "--gen", spec]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"more than {SWEEP_POINT_LIMIT} sizes" in captured.err
+    # the second range holds more sizes than len() can count
+    for spec in (f"ring:3:{SWEEP_POINT_LIMIT + 3}", "ring:3:10000000000000000000"):
+        assert cli.main(["sweep", "--gen", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"spans more than {SWEEP_POINT_LIMIT} sizes" in captured.err
     with pytest.raises(_Generated):
         cli.main(["sweep", "--gen", f"ring:3:{SWEEP_POINT_LIMIT + 2}"])
 

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     DATA_DIR,
     grid_topology,
+    link_set,
     random_survivable_instance,
     reference_selection,
     routed_shared_links,
@@ -34,14 +35,14 @@ from ncpower.matching import exhaustive_matching, max_weight_matching, verify_op
 from ncpower.model import Demand, Instance, generate_full_mesh, generate_ring, load_instance
 from ncpower.oracle import optimal_joint
 from ncpower.power import eval_with_coding
-from ncpower.routing import Path, disjoint_pair_candidates, route_instance
+from ncpower.routing import disjoint_pair_candidates, route_instance
 
 W, P = PathKind.WORKING, PathKind.PROTECTION
 
 
 def test_coded_pair_validation():
     d1, d2 = (1, 3), (2, 3)
-    shared = Path((1, 2, 3)).link_set & Path((2, 3)).link_set
+    shared = link_set((1, 2, 3)) & link_set((2, 3))
     assert shared == {(2, 3)}
     with pytest.raises(ContractError, match="ordered by source"):
         CodedPair(d2, d1, P, P, len(shared))
@@ -53,9 +54,9 @@ def test_coded_pair_validation():
 
 def test_assignment_rejects_demand_reuse():
     d1, d2, d3 = (1, 4), (2, 4), (3, 4)
-    path = {d1: Path((1, 3, 4)), d2: Path((2, 3, 4)), d3: Path((3, 4))}
-    shared_a = path[d1].link_set & path[d2].link_set
-    shared_b = path[d1].link_set & path[d3].link_set
+    links = {d1: link_set((1, 3, 4)), d2: link_set((2, 3, 4)), d3: link_set((3, 4))}
+    shared_a = links[d1] & links[d2]
+    shared_b = links[d1] & links[d3]
     assert shared_a == shared_b == {(3, 4)}
     pair_a = CodedPair(d1, d2, P, P, len(shared_a))
     pair_b = CodedPair(d1, d3, P, P, len(shared_b))
@@ -73,7 +74,7 @@ def _shared_links(inst, combos=KIND_COMBOS):
     for demands in coding.clusters(inst.demands).values():
         for d1, d2 in itertools.combinations(demands, 2):
             for k1, k2 in combos:
-                shared = by_demand[d1].path(k1).link_set & by_demand[d2].path(k2).link_set
+                shared = link_set(by_demand[d1].path(k1)) & link_set(by_demand[d2].path(k2))
                 if shared:
                     edges[(d1, d2, k1, k2)] = shared
     return edges

@@ -14,6 +14,7 @@ from conftest import (
     brute_min_pairs,
     connected_graphs,
     grid_topology,
+    link_set,
     random_survivable_instance,
 )
 
@@ -31,7 +32,6 @@ from ncpower.model import (
     undirected,
 )
 from ncpower.routing import (
-    Path,
     PathPair,
     disjoint_pair_candidates,
     route_instance,
@@ -41,31 +41,28 @@ from ncpower.routing import (
 TRIANGLE = Topology.from_undirected_edges(3, [(1, 2), (2, 3), (1, 3)])
 
 
-def test_path_validation():
-    with pytest.raises(ContractError):
-        Path((1,))
-    with pytest.raises(ContractError):
-        Path((1, 2, 1))
-    assert Path((1, 2, 3)).hop_count == 2
-    assert Path((1, 2, 3)).link_set == {(1, 2), (2, 3)}
-    assert {undirected(l) for l in Path((3, 2, 1)).link_set} == {(1, 2), (2, 3)}
-    assert str(Path((1, 2, 3))) == "1-2-3"
-
-
 def test_pathpair_validation():
+    # each bad path is refused in either role, beside a good partner
+    for bad, reason in (((1,), "at least two nodes"), ((1, 2, 1, 3), "revisits a node")):
+        for pair in ((bad, (1, 3)), ((1, 3), bad)):
+            with pytest.raises(ContractError, match=reason):
+                PathPair(*pair)
     with pytest.raises(ContractError, match="share a fibre"):
-        PathPair(Path((1, 3)), Path((1, 3)))
+        PathPair((1, 3), (1, 3))
+    with pytest.raises(ContractError, match="share a fibre"):
+        PathPair((1, 2, 3, 4), (1, 5, 3, 2, 6, 4))  # 3->2 runs on fibre 2-3
     with pytest.raises(ContractError, match="share their endpoints"):
-        PathPair(Path((1, 2)), Path((1, 3)))
+        PathPair((1, 2), (1, 3))
     with pytest.raises(ContractError, match="not be longer"):
-        PathPair(Path((1, 2, 3)), Path((1, 3)))
-    assert PathPair(Path((1, 3)), Path((1, 2, 3))).ends == (1, 3)
+        PathPair((1, 2, 3), (1, 3))
+    pair = PathPair((1, 3), (1, 2, 3))
+    assert (pair.ends, pair.total_hops) == ((1, 3), 3)
 
 
 def test_shortest_path_prefers_lexicographic():
     # both 1-3-2 and 1-4-2 have two hops; the smaller intermediate wins
     topo = Topology.from_undirected_edges(4, [(1, 3), (3, 2), (1, 4), (4, 2)])
-    assert shortest_path(topo, 1, 2).nodes == (1, 3, 2)
+    assert shortest_path(topo, 1, 2) == (1, 3, 2)
 
 
 def test_shortest_path_unreachable():
@@ -77,25 +74,25 @@ def test_shortest_path_unreachable():
 def test_mesh_pair_is_direct_plus_smallest_relay():
     inst = generate_full_mesh(5, 20.0)
     pair = disjoint_pair_candidates(inst.topology, Demand(1, 2, 20.0), 1)[0]
-    assert pair.working.nodes == (1, 2)
-    assert pair.protection.nodes == (1, 3, 2)
+    assert pair.working == (1, 2)
+    assert pair.protection == (1, 3, 2)
     pair = disjoint_pair_candidates(inst.topology, Demand(4, 5, 20.0), 1)[0]
-    assert pair.protection.nodes == (4, 1, 5)
+    assert pair.protection == (4, 1, 5)
 
 
 def test_ring_pair_wraps_both_arcs():
     inst = generate_ring(5, 20.0)
     pair = disjoint_pair_candidates(inst.topology, Demand(2, 5, 20.0), 1)[0]
-    assert pair.working.nodes == (2, 1, 5)
-    assert pair.protection.nodes == (2, 3, 4, 5)
+    assert pair.working == (2, 1, 5)
+    assert pair.protection == (2, 3, 4, 5)
     assert pair.total_hops == 5
 
 
 def test_even_ring_antipodal_tie_breaks_lexicographically():
     inst = generate_ring(4, 20.0)
     pair = disjoint_pair_candidates(inst.topology, Demand(2, 4, 20.0), 1)[0]
-    assert pair.working.nodes == (2, 1, 4)
-    assert pair.protection.nodes == (2, 3, 4)
+    assert pair.working == (2, 1, 4)
+    assert pair.protection == (2, 3, 4)
 
 
 def test_ring_totals_equal_ring_size():
@@ -112,23 +109,23 @@ def test_pair_on_huge_ring_does_not_overflow():
     edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
     topo = Topology.from_undirected_edges(n, edges)
     pair = disjoint_pair_candidates(topo, Demand(1, 2, 20.0), 1)[0]
-    assert pair.working.nodes == (1, 2)
-    assert pair.protection.hop_count == n - 1
+    assert pair.working == (1, 2)
+    assert len(pair.protection) == n
     assert pair.total_hops == n
 
 
 def test_mesh_candidates_enumerate_all_relays():
     inst = generate_full_mesh(5, 20.0)
     cands = disjoint_pair_candidates(inst.topology, Demand(1, 2, 20.0), k=3)
-    assert [c.protection.nodes for c in cands] == [(1, 3, 2), (1, 4, 2), (1, 5, 2)]
-    assert all(c.working.nodes == (1, 2) for c in cands)
+    assert [c.protection for c in cands] == [(1, 3, 2), (1, 4, 2), (1, 5, 2)]
+    assert all(c.working == (1, 2) for c in cands)
     assert all(c.total_hops == 3 for c in cands)
     # a bigger budget finds nothing beyond the n-2 relays
     assert len(disjoint_pair_candidates(inst.topology, Demand(1, 2, 20.0), k=8)) == 3
 
 
 def test_pairs_of_one_working_path_share_its_path():
-    # a mesh pool of 8 holds one working Path, not 8 equal ones
+    # a mesh pool of 8 holds one working tuple, not 8 equal ones
     pool = disjoint_pair_candidates(generate_full_mesh(10).topology, Demand(1, 2, 20.0))
     assert len(pool) == 8
     assert len({id(pair.working) for pair in pool}) == 1
@@ -145,7 +142,7 @@ def test_candidates_budget_and_order_are_stable():
 def test_arbitrary11_candidates():
     inst = load_instance((DATA_DIR / "arbitrary11.net").read_text())
     cands = disjoint_pair_candidates(inst.topology, inst.demands[0])
-    assert [(c.working.nodes, c.protection.nodes) for c in cands] == [
+    assert [(c.working, c.protection) for c in cands] == [
         ((2, 4, 5, 11), (2, 1, 3, 6, 7, 11)),
         ((2, 4, 5, 11), (2, 1, 8, 9, 10, 11)),
     ]
@@ -256,7 +253,7 @@ def _assert_candidates_match_brute_force(topo, s, t):
                 disjoint_pair_candidates(topo, Demand(s, t, 1.0), k)
             continue
         cands = disjoint_pair_candidates(topo, Demand(s, t, 1.0), k)
-        assert [(c.working.nodes, c.protection.nodes) for c in cands] == expected[:k]
+        assert [(c.working, c.protection) for c in cands] == expected[:k]
     return expected
 
 
@@ -301,10 +298,10 @@ def test_large_grid_corner_candidates(side):
     assert all(c.total_hops == 4 * (side - 1) for c in cands)
     top_row = tuple(range(1, side + 1))
     right_column = tuple(range(2 * side, last + 1, side))
-    assert cands[0].working.nodes == top_row + right_column
+    assert cands[0].working == top_row + right_column
     second_row = tuple(range(side + 1, 2 * side))
     down_to_last = tuple(range(3 * side - 1, last, side)) + (last,)
-    assert cands[0].protection.nodes == (1,) + second_row + down_to_last
+    assert cands[0].protection == (1,) + second_row + down_to_last
     assert disjoint_pair_candidates(topo, Demand(1, last, 1.0), k=1) == cands[:1]
 
 
@@ -313,12 +310,12 @@ def test_min_hop_floor_holds_per_demand():
     for _ in range(20):
         inst = random_survivable_instance(rng, volume=1.0)
         for d in inst.demands:
-            h_min = shortest_path(inst.topology, d.source, d.dest).hop_count
+            h_min = len(shortest_path(inst.topology, d.source, d.dest)) - 1
             pair = disjoint_pair_candidates(inst.topology, d, 1)[0]
-            assert pair.working.hop_count >= h_min
+            assert len(pair.working) - 1 >= h_min
             assert pair.total_hops >= 2 * h_min
-            fibres = {undirected(l) for l in pair.working.link_set}
-            assert fibres.isdisjoint(undirected(l) for l in pair.protection.link_set)
+            fibres = {undirected(l) for l in link_set(pair.working)}
+            assert fibres.isdisjoint(undirected(l) for l in link_set(pair.protection))
 
 
 def test_one_full_graph_bfs_per_node(monkeypatch):
@@ -386,7 +383,7 @@ def test_pair_total_searched_once_per_unordered_pair(generate, n, monkeypatch):
 
 
 def _pair_nodes(cands):
-    return [(c.working.nodes, c.protection.nodes) for c in cands]
+    return [(c.working, c.protection) for c in cands]
 
 
 def test_reverse_of_a_finished_walk_equals_fresh_walk():
@@ -433,11 +430,11 @@ def test_reverse_of_a_finished_walk_equals_fresh_walk():
                 assert _pair_nodes(walk.pairs) == expected[(a, b)]
                 by_working = {}
                 for pair in walk.pairs:
-                    assert by_working.setdefault(pair.working.nodes, pair.working) is pair.working
+                    assert by_working.setdefault(pair.working, pair.working) is pair.working
                 # a pair whose working path was the reverse's protection
                 back = set(_pair_nodes(reverse.pairs))
                 swapped += any(
-                    (pair.protection.nodes[::-1], pair.working.nodes[::-1]) in back
+                    (pair.protection[::-1], pair.working[::-1]) in back
                     for pair in walk.pairs
                 )
     assert mirrored > 0 and swapped > 0 and bridged > 0
@@ -463,7 +460,7 @@ def test_resumed_walk_equals_fresh_walk():
                 cands = disjoint_pair_candidates(topo, d, k)
                 assert cands == fresh[:k]
             resumed += len(fresh) > 5
-            pairs = [(c.working.nodes, c.protection.nodes) for c in cands]
+            pairs = [(c.working, c.protection) for c in cands]
             assert pairs == brute_min_pairs(topo, s, t)[:8]
         for k in (1, 3, 8):
             routed = route_instance(model.Instance(Topology(n, topo.undirected_edges), demands), k)
