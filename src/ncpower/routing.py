@@ -47,6 +47,8 @@ class PathPair:
     def __post_init__(self):
         w, p = self.working, self.protection
         for nodes in (w, p):
+            if type(nodes) is not tuple:  # a list would compare unequal and not hash
+                raise ContractError(f"path {nodes} is not a tuple")
             if len(nodes) < 2:
                 raise ContractError(f"path {nodes} needs at least two nodes")
             if len(set(nodes)) != len(nodes):

@@ -293,14 +293,88 @@ def test_repro_is_deterministic():
 
 def test_cli_import_leaves_networkx_out():
     # networkx is a test-only reference, and numpy (which scipy loads) adds
-    # about 13 MB to every run; the program itself must load none of them
+    # about 13 MB to every run; the program itself must load none of them.
+    # fractions is deferred to the --sweep parser, as it adds to every start-up
     code = (
         "import sys, ncpower.cli; "
-        "print([m for m in ('networkx', 'numpy', 'scipy') if m in sys.modules])"
+        "print([m for m in ('networkx', 'numpy', 'scipy', 'fractions') if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+PARSER_ARGV = [
+    ["analyze", "--gen", "ring:5", "--volume", "30", "--power", "1,2,3", "--budget", "2",
+     "--heuristic", "pp", "--sweep", "10:20:10", "--out", "a.csv"],
+    ["analyze", "--instance", "x.net"],
+    ["analyze"],
+    ["bounds", "--gen", "ring:5", "--heuristic", "ww", "--volume", "20"],
+    ["bounds", "--instance", "x.net", "--budget", "1"],
+    ["sweep", "--gen", "ring:3:5", "--heuristic", "osh,pp", "--out", "s.csv", "--power", "1,2,3"],
+    ["sweep"],
+    ["repro", "mesh-volume", "--out", "r.csv"],
+    ["repro"],
+    ["-h"], ["analyze", "-h"], ["bounds", "-h"], ["sweep", "-h"], ["repro", "-h"],
+    [],
+    ["bogus"],
+    ["--gen", "ring:5", "bounds"],
+    ["-h", "bounds"],
+    ["bounds", "--gen", "ring:5", "extra"],
+    ["repro", "ring-sizes", "extra"],
+    ["analyze", "--gen", "ring:5", "--instance", "x.net"],
+    ["analyze", "--gen", "ring:5", "--heuristic", "bogus"],
+    ["bounds", "--gen", "ring:5", "--volume", "many"],
+    ["analyze", "--gen", "ring:5", "--budget", "two"],
+    ["sweep", "--gen", "ring:3:5", "--budget", "1.5"],
+    ["bounds", "--gen"],
+    ["repro", "bogus"],
+]
+
+
+def _parsed(parser, argv: list[str], capsys):
+    """The namespace, or the exit code and printed text of a parse that exits."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_command_parser_parses_as_the_full_tree(argv, capsys):
+    # main builds only the sub-parser its argv names; every parse, help text
+    # and error, the top-level usage line included, must read as the full tree's
+    alone = _parsed(cli.build_parser(argv[0] if argv else None), argv, capsys)
+    assert alone == _parsed(cli.build_parser(), argv, capsys)
+
+
+def test_top_level_errors_name_the_command_argument(monkeypatch, capsys):
+    # a metavar on the sub-parsers action would rename "argument command"
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps on a narrow terminal
+    for argv, error in (([], "required: command"), (["bogus"], "argument command: invalid choice")):
+        code, out, err = _parsed(cli.build_parser(), argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ncpower [-h] {analyze,bounds,sweep,repro} ...\n")
+        assert error in err
+
+
+def test_main_reads_the_command_from_sys_argv(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def recording_build(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build)
+    argv = ["bounds", "--gen", "ring:5", "--volume", "20"]
+    assert cli.main(argv) == 0
+    listed = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["ncpower", *argv])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == listed
+    assert built == ["bounds", "bounds"]
 
 
 def test_usage_error_exit_2():

@@ -43,7 +43,11 @@ TRIANGLE = Topology.from_undirected_edges(3, [(1, 2), (2, 3), (1, 3)])
 
 def test_pathpair_validation():
     # each bad path is refused in either role, beside a good partner
-    for bad, reason in (((1,), "at least two nodes"), ((1, 2, 1, 3), "revisits a node")):
+    for bad, reason in (
+        ((1,), "at least two nodes"),
+        ((1, 2, 1, 3), "revisits a node"),
+        ([1, 3], r"path \[1, 3\] is not a tuple"),
+    ):
         for pair in ((bad, (1, 3)), ((1, 3), bad)):
             with pytest.raises(ContractError, match=reason):
                 PathPair(*pair)
