@@ -23,7 +23,16 @@ paths share ``(m1 & m2).bit_count()`` links.  The weights come first: a demand
 scores the masks of every later demand of its cluster as one row and keeps
 only each pair's most shared links.  Which candidates and kinds win is found
 again only for the pairs the matching returns, at most n/2 per cluster.  A
-cluster's pools and masks live only while it is scored.
+cluster's pools live only while it is scored, and its masks until the next
+cluster has been compared with them.
+
+Since each cluster numbers its links in first-seen order, its masks, where
+each demand's masks start and its volume units are a canonical layout, and
+the weights, the matching and the winners depend on that layout alone.  A
+cluster laid out exactly as the previous one (every cluster of a uniform full
+mesh is) reuses its matched pairs and winning mask positions, and takes the
+candidates they name from its own pools.  Only the previous cluster is kept:
+no two clusters of a ring share a layout.
 
 A selection carries no volume: coded pairs name their demands by
 (source, dest), and path pairs have no demand.  At any uniform V > 0 every
@@ -164,12 +173,20 @@ def _select(
     the matched pairs alone: their masks are visited again in combo,
     own-mask, other-mask order, keeping the first maximum, which is the
     tie-break above and the count its coded pair records.
+
+    The matched pairs and their winning (kind, kind, mask, mask, shared)
+    form the cluster's plan.  When a cluster's ``masks``, ``starts`` and
+    volume units equal the previous cluster's, it skips the scoring, the
+    matching and the winner search and applies the previous plan; each
+    winning mask still names a candidate through this cluster's own
+    ``indices`` and pools, which can differ where the masks do not.
     """
     units = volume_units(instance.demands)
     combos = [(_KINDS.index(a), _KINDS.index(b)) for a, b in combos]
     kinds = sorted({kind for combo in combos for kind in combo})
     new_routing = dict(routing)
     chosen: list[CodedPair] = []
+    layout = plan = None
     for demands in clusters(instance.demands).values():
         n = len(demands)
         pools = [pool_of(d) for d in demands]
@@ -197,36 +214,41 @@ def _select(
             starts[kind].append(len(masks[kind]))
 
         cluster_units = [units[d] for d in demands]
-        weights: dict[tuple[int, int], int] = {}
-        for i in range(n - 1):
-            best = [0] * n
-            for a, b in combos:
-                row_start = starts[b][i + 1]
-                row = masks[b][row_start:]
-                row_owners = owners[b][row_start:]
-                for m1 in masks[a][starts[a][i] : starts[a][i + 1]]:
-                    scores = [(m1 & m2).bit_count() for m2 in row]
-                    if not any(scores):
-                        continue
-                    for j, shared in compress(zip(row_owners, scores), scores):
-                        if shared > best[j]:
-                            best[j] = shared
-            unit = cluster_units[i]
-            for j in compress(range(i + 1, n), best[i + 1 :]):
-                weight = min(unit, cluster_units[j]) * best[j]
-                if weight:
-                    weights[(i, j)] = weight
+        if (masks, starts, cluster_units) != layout:
+            layout = masks, starts, cluster_units
+            weights: dict[tuple[int, int], int] = {}
+            for i in range(n - 1):
+                best = [0] * n
+                for a, b in combos:
+                    row_start = starts[b][i + 1]
+                    row = masks[b][row_start:]
+                    row_owners = owners[b][row_start:]
+                    for m1 in masks[a][starts[a][i] : starts[a][i + 1]]:
+                        scores = [(m1 & m2).bit_count() for m2 in row]
+                        if not any(scores):
+                            continue
+                        for j, shared in compress(zip(row_owners, scores), scores):
+                            if shared > best[j]:
+                                best[j] = shared
+                unit = cluster_units[i]
+                for j in compress(range(i + 1, n), best[i + 1 :]):
+                    weight = min(unit, cluster_units[j]) * best[j]
+                    if weight:
+                        weights[(i, j)] = weight
 
-        for i, j in max_weight_pairs(n, weights):
-            shared = 0
-            for a, b in combos:
-                for p in range(starts[a][i], starts[a][i + 1]):
-                    m1 = masks[a][p]
-                    for q in range(starts[b][j], starts[b][j + 1]):
-                        hits = (m1 & masks[b][q]).bit_count()
-                        if hits > shared:
-                            shared, win = hits, (a, b, p, q)
-            a, b, p, q = win
+            plan = []
+            for i, j in max_weight_pairs(n, weights):
+                shared = 0
+                for a, b in combos:
+                    for p in range(starts[a][i], starts[a][i + 1]):
+                        m1 = masks[a][p]
+                        for q in range(starts[b][j], starts[b][j + 1]):
+                            hits = (m1 & masks[b][q]).bit_count()
+                            if hits > shared:
+                                shared, win = hits, (a, b, p, q)
+                plan.append((i, j, *win, shared))
+
+        for i, j, a, b, p, q, shared in plan:
             new_routing[demands[i]] = first_pair = pools[i][indices[a][p]]
             new_routing[demands[j]] = second_pair = pools[j][indices[b][q]]
             chosen.append(

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 from conftest import DATA_DIR, grid_topology
 
-from ncpower import cli
+from ncpower import cli, coding
 from ncpower.cli import EVAL_DEMAND_LIMIT, SWEEP_POINT_LIMIT, _require_evaluable, _sweep_volumes
 from ncpower.errors import InstanceError
 from ncpower.model import Demand, Instance, bfs_dist, generate_ring, serialize_instance
@@ -514,6 +514,25 @@ def test_volume_table_selects_once(table, monkeypatch, capsys):
     assert cli.main(["repro", table]) == 0
     assert capsys.readouterr().out.count("\n") == 11
     assert calls == {"select_pairs_osh": 1, "optimal_joint": 1}
+
+
+def test_repro_matches_each_repeated_cluster_layout_once(monkeypatch, capsys):
+    # a deterministic work count: a cluster laid out as the previous one
+    # reuses its matching, so the four tables make 620 matching calls where
+    # scoring every cluster afresh made 946; the ring tables barely repeat
+    real = coding.max_weight_pairs
+    calls = Counter()
+    table = None
+
+    def counting(n, weights):
+        calls[table] += 1
+        return real(n, weights)
+
+    monkeypatch.setattr(coding, "max_weight_pairs", counting)
+    for table in GOLDEN:
+        assert cli.main(["repro", table]) == 0
+        assert capsys.readouterr().out == GOLDEN[table].read_text()
+    assert calls == {"mesh-volume": 1, "mesh-sizes": 39, "ring-volume": 5, "ring-sizes": 575}
 
 
 def _grid_corners_file(tmp_path):

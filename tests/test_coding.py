@@ -221,9 +221,10 @@ def test_matching_returns_networkx_pairs(monkeypatch):
 
 
 def test_matching_returns_networkx_pairs_on_other_clusters(monkeypatch):
-    # the osh clusters of a full mesh, of a grid whose every node sends to two
-    # opposite corners with volumes 10, 20 and 40 (units 1, 2 and 4), and of
-    # the arbitrary 11-node instance
+    # the osh clusters of a full mesh (its twelve clusters share one link
+    # layout, so the first one's matching serves all), of a grid whose every
+    # node sends to two opposite corners with volumes 10, 20 and 40 (units 1,
+    # 2 and 4), and of the arbitrary 11-node instance
     rng = random.Random(6)
     grid = grid_topology(6, 6)
     corners = Instance(grid, tuple(
@@ -233,10 +234,61 @@ def test_matching_returns_networkx_pairs_on_other_clusters(monkeypatch):
     monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append((n, weights)) or [])
     for inst in (generate_full_mesh(12, 20.0), corners, load_instance((DATA_DIR / "arbitrary11.net").read_text())):
         select_pairs_osh(inst, route_instance(inst))
-    assert [n for n, _ in cases] == [11] * 12 + [35, 35, 2]
-    assert {w for _, weights in cases[12:14] for w in weights.values()} > {1, 2, 4}
+    assert [n for n, _ in cases] == [11, 35, 35, 2]
+    assert {w for _, weights in cases[1:3] for w in weights.values()} > {1, 2, 4}
     for n, weights in cases:
         assert max_weight_matching(n, weights) == _networkx_pairs(n, weights)
+
+
+def _doubled_first_demand(inst):
+    first, *rest = inst.demands
+    return Instance(inst.topology, (Demand(first.source, first.dest, 2 * first.volume), *rest), inst.power)
+
+
+@pytest.mark.parametrize("inst,select,calls", [
+    # every cluster of a uniform full mesh repeats its predecessor's layout
+    (generate_full_mesh(12, 20.0), select_pairs_osh, 1),
+    (generate_full_mesh(12, 20.0), lambda inst, routing: select_pairs_fixed(inst, routing, (P, P)), 1),
+    # no two clusters of a ring number their links alike
+    (generate_ring(12, 20.0), select_pairs_osh, 12),
+    # 1 -> 2 weighs two units: cluster 2 differs from cluster 1, cluster 3
+    # from cluster 2, and clusters 4 to 12 repeat cluster 3
+    (_doubled_first_demand(generate_full_mesh(12, 20.0)), select_pairs_osh, 3),
+], ids=["mesh-osh", "mesh-pp", "ring-osh", "mesh-doubled-osh"])
+def test_repeated_cluster_layout_is_matched_once(inst, select, calls, monkeypatch):
+    # a deterministic work count: a cluster whose masks, mask starts and
+    # volume units equal the previous cluster's reuses its matched plan
+    routing = route_instance(inst)
+    cases = []
+    real = coding.max_weight_pairs
+    monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append(n) or real(n, weights))
+    sel = select(inst, routing)
+    assert len(cases) == calls
+    # a reused plan still codes pairs in every cluster
+    assert len({pair.first[1] for pair in sel.assignment.pairs}) == 12
+
+
+def test_reused_plan_adopts_each_cluster_own_candidates(monkeypatch):
+    # a repeated head candidate leaves a demand's masks as they were but
+    # moves its later candidates one pool index on: the clusters to even
+    # destinations share the odd ones' layout, so one plan serves all six,
+    # and each must take its candidates through its own pool indices
+    inst = generate_full_mesh(6, 20.0)
+    routing = route_instance(inst)
+    real = coding.disjoint_pair_candidates
+
+    def shifted(topology, d, k):
+        pool = real(topology, d, k)
+        return pool[:1] + pool if d.dest % 2 == 0 else pool
+
+    pools = {d: shifted(inst.topology, d, 8) for d in inst.demands}
+    monkeypatch.setattr(coding, "disjoint_pair_candidates", shifted)
+    calls = []
+    monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: calls.append(n) or max_weight_matching(n, weights))
+    sel = select_pairs_osh(inst, routing)
+    assert calls == [5]
+    _assert_equals_reference(inst, sel, pools, KIND_COMBOS)
+    assert sel.routing != routing
 
 
 def test_dense_matching_returns_networkx_pairs():
@@ -566,8 +618,10 @@ def test_selectors_are_deterministic():
 
 
 def _scorer_instances():
-    """Random bridgeless graphs with all-pairs demands, and grids whose every
-    node sends to two opposite corners, volumes drawn from {10, 20, 40}."""
+    """Random bridgeless graphs with all-pairs demands, grids whose every node
+    sends to two opposite corners, and full meshes of 4 to 9 nodes, volumes
+    drawn from {10, 20, 40}; the meshes also at one uniform volume, where
+    every cluster repeats its predecessor's link layout."""
     rng = random.Random(20261019)
     volumes = (10.0, 20.0, 40.0)
     for _ in range(24):
@@ -586,6 +640,10 @@ def _scorer_instances():
                 for s in range(1, last + 1)
                 if s != t
             ))
+    for n in range(4, 10):
+        mesh = generate_full_mesh(n, 20.0)
+        yield mesh
+        yield Instance(mesh.topology, tuple(Demand(d.source, d.dest, rng.choice(volumes)) for d in mesh.demands))
 
 
 def _assert_equals_reference(inst, sel, pools, combos):
