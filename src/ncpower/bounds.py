@@ -150,9 +150,8 @@ def closed_form(
             0: ("even-1", n * n * (3 * n - 8)),
             2: ("even-2", n * (n - 2) * (3 * n - 2)),
         }[n % 4]
-        if numerator % 8:
-            raise DomainError(f"ring size {n}: shared-hop formula is not integral")
         hops = n ** 3 - n ** 2
+        # exact: in its class (N-3)(3N-1), (N-1)^2, N^2 or (N-2)(3N-2) carries 2^3
         shared = numerator // 8
         savings = shared / hops
     try:

@@ -38,7 +38,7 @@ from .model import (
     generate_ring,
     load_instance,
 )
-from .oracle import JOINT_NODE_GUARD, optimal_joint
+from .oracle import optimal_joint, require_joint_size
 from .power import PowerReport, eval_with_coding, pair_saving
 from .routing import CANDIDATE_BUDGET, route_instance
 
@@ -154,9 +154,12 @@ def _selections(instance: Instance, heuristics: Sequence[str], budget: int) -> l
     """Route the instance once, then run each heuristic's selection in order.
 
     With ``osh`` or ``oracle`` the routing walks each demand's pool of
-    ``budget`` pairs, so their candidate calls only read it.  Nothing is
-    priced here.
+    ``budget`` pairs, so their candidate calls only read it; an instance too
+    large for the oracle is refused before it is routed.  Nothing is priced
+    here.
     """
+    if "oracle" in heuristics:
+        require_joint_size(instance.topology.node_count)
     pooled = "osh" in heuristics or "oracle" in heuristics
     routing = route_instance(instance, budget if pooled else 1)
     selections = []
@@ -164,7 +167,7 @@ def _selections(instance: Instance, heuristics: Sequence[str], budget: int) -> l
         if name == "conventional":
             selection = SelectionResult(EMPTY_ASSIGNMENT, routing)
         elif name == "osh":
-            selection = select_pairs_osh(instance, routing, budget)
+            selection = select_pairs_osh(instance, budget)
         elif name == "oracle":
             selection = optimal_joint(instance, budget)
         else:
@@ -387,11 +390,8 @@ def _cmd_sweep(args) -> int:
                     f"{EVAL_DEMAND_LIMIT} that are routed and evaluated (EVAL_DEMAND_LIMIT); "
                     f"narrow the sweep or drop the heuristic columns"
                 )
-        if "oracle" in heuristics and sizes[-1] > JOINT_NODE_GUARD:
-            raise OracleGuardError(
-                f"joint oracle refuses {kind}:{sizes[-1]} ({sizes[-1]} nodes, limit "
-                f"{JOINT_NODE_GUARD}); narrow the sweep or drop the oracle column"
-            )
+        if "oracle" in heuristics:
+            require_joint_size(sizes[-1])
     if sizes[SWEEP_POINT_LIMIT:]:  # not len(), which overflows past sys.maxsize sizes
         raise InstanceError(f"sweep {args.gen} spans more than {SWEEP_POINT_LIMIT} sizes")
 

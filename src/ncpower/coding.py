@@ -6,13 +6,15 @@ two flows replaces the smaller one, saving min(V1, V2) Gbps there.  Selection
 is a max-weight matching problem per destination cluster (a demand can join at
 most one coded pair), over the four working/protection kind combinations.
 
-Both selectors share one body.  ``select_pairs_fixed`` keeps the given
-routing and a single kind combo, so each demand's pool is just its own pair.
-``select_pairs_osh`` searches all four combos and lets each matched demand
-re-route among its equal-cost disjoint-pair candidates.  Because candidates
-all have the minimum total hop count, the uncoded power term is invariant and
-the per-pair benefit decomposes, so a per-cluster max-weight matching over
-per-pair-maximised weights is exactly optimal on this search space.
+Both selectors share one body, which chooses among per-demand pools and
+keeps an unmatched demand on its pool's head, as the oracles' body does.
+``select_pairs_fixed`` keeps the given routing and a single kind combo, so
+each demand's pool is just its own pair.  ``select_pairs_osh`` searches all
+four combos and lets each matched demand re-route among its equal-cost
+disjoint-pair candidates.  Because candidates all have the minimum total hop
+count, the uncoded power term is invariant and the per-pair benefit
+decomposes, so a per-cluster max-weight matching over per-pair-maximised
+weights is exactly optimal on this search space.
 A pair weighs min(u1, u2) times its shared links, u being each demand's volume
 in exact integer units (``model.integer_ratios`` over the gcd), and the blossom
 algorithm matches every cluster on the pairs of positive weight.
@@ -149,7 +151,6 @@ def volume_units(demands: Sequence[Demand]) -> dict[Demand, int]:
 
 def _select(
     instance: Instance,
-    routing: dict[Demand, PathPair],
     combos: Sequence[tuple[PathKind, PathKind]],
     pool_of: Callable[[Demand], list[PathPair]],
 ) -> SelectionResult:
@@ -159,7 +160,8 @@ def _select(
     and ``combos``, times the smaller of their volume units; the first
     maximum in combo, then pool order, wins.
     Matched demands adopt the candidates of their pair's maximum; unmatched
-    demands keep ``routing``.  The result lists demands in instance order.
+    demands keep the head of their pool.  The result lists demands in
+    instance order.
 
     Each cluster reads its pools from ``pool_of`` just before it is scored
     and numbers its own directed links, so every candidate path is an
@@ -184,12 +186,13 @@ def _select(
     units = volume_units(instance.demands)
     combos = [(_KINDS.index(a), _KINDS.index(b)) for a, b in combos]
     kinds = sorted({kind for combo in combos for kind in combo})
-    new_routing = dict(routing)
+    routing: dict[Demand, PathPair] = {}
     chosen: list[CodedPair] = []
     layout = plan = None
     for demands in clusters(instance.demands).values():
         n = len(demands)
         pools = [pool_of(d) for d in demands]
+        routing.update(zip(demands, (pool[0] for pool in pools)))
         bit: dict[Link, int] = {}
         # per kind, flat in source order: masks, pool index, owning demand,
         # and where each demand's masks start (starts[kind][n] is the end)
@@ -249,13 +252,13 @@ def _select(
                 plan.append((i, j, *win, shared))
 
         for i, j, a, b, p, q, shared in plan:
-            new_routing[demands[i]] = first_pair = pools[i][indices[a][p]]
-            new_routing[demands[j]] = second_pair = pools[j][indices[b][q]]
+            routing[demands[i]] = first_pair = pools[i][indices[a][p]]
+            routing[demands[j]] = second_pair = pools[j][indices[b][q]]
             chosen.append(
                 CodedPair(first_pair.ends, second_pair.ends, _KINDS[a], _KINDS[b], shared)
             )
 
-    final = tuple(new_routing[d] for d in instance.demands)
+    final = tuple(routing[d] for d in instance.demands)
     return SelectionResult(CodingAssignment(tuple(chosen)), final)
 
 
@@ -266,29 +269,18 @@ def select_pairs_fixed(
 ) -> SelectionResult:
     """Best matching for a single kind combo on the given routing (no re-routing)."""
     by_demand = index_routing(instance, routing)
-    return _select(instance, by_demand, (combo,), lambda d: [by_demand[d]])
+    return _select(instance, (combo,), lambda d: [by_demand[d]])
 
 
-def select_pairs_osh(
-    instance: Instance,
-    routing: Iterable[PathPair],
-    candidate_budget: int = CANDIDATE_BUDGET,
-) -> SelectionResult:
+def select_pairs_osh(instance: Instance, candidate_budget: int = CANDIDATE_BUDGET) -> SelectionResult:
     """Joint pairing/routing search over all kind combos (the strongest heuristic).
 
-    Each demand's pool is its equal-cost disjoint-pair candidates, plus the
-    caller's pair when that is also of minimum total hops.  A max-weight
-    matching then fixes the pairs, and matched demands adopt their best
-    candidates.  Unmatched demands keep the caller's routing untouched.
+    Each demand's pool is its equal-cost disjoint-pair candidates.  A
+    max-weight matching then fixes the pairs, and matched demands adopt their
+    best candidates.  Unmatched demands keep their first candidate, the pair
+    ``route_instance`` gives them.
     """
-    by_demand = index_routing(instance, routing)
     topology = instance.topology
-
-    def pool_of(d: Demand) -> list[PathPair]:
-        pool = disjoint_pair_candidates(topology, d, candidate_budget)
-        base = by_demand[d]
-        if base not in pool and base.total_hops == pool[0].total_hops:
-            pool.append(base)  # caller's pair competes when it is also optimal
-        return pool
-
-    return _select(instance, by_demand, KIND_COMBOS, pool_of)
+    return _select(
+        instance, KIND_COMBOS, lambda d: disjoint_pair_candidates(topology, d, candidate_budget)
+    )

@@ -238,8 +238,6 @@ def load_instance(text: str) -> Instance:
     """Parse an instance file; raises InstanceError naming the offending line."""
     node_count = None
     nodes_line = None
-    edges: list[tuple[int, int]] = []
-    edge_keys: set[Edge] = set()
     edge_lines: dict[Edge, int] = {}
     demands: list[Demand] = []
     demand_keys: set[tuple[int, int]] = set()
@@ -275,30 +273,28 @@ def load_instance(text: str) -> Instance:
                 if not 1 <= node <= node_count:
                     raise InstanceError(f"node {node} outside 1..{node_count}", line_no)
             key = undirected((u, v))
-            if key in edge_keys:
+            if key in edge_lines:
                 raise InstanceError(
                     f"duplicate edge {key} (first seen on line {edge_lines[key]})", line_no
                 )
-            edge_keys.add(key)
             edge_lines[key] = line_no
-            edges.append((u, v))
         elif directive == "demand":
             if len(args) != 3:
                 raise InstanceError("'demand' takes exactly three arguments", line_no)
             s = _num(args[0], int, "demand source", line_no)
             t = _num(args[1], int, "demand dest", line_no)
             vol = _num(args[2], float, "demand volume", line_no)
-            if s == t:
-                raise InstanceError("demand source and dest coincide", line_no)
+            try:
+                demand = Demand(s, t, vol)
+            except DomainError as exc:
+                raise InstanceError(str(exc), line_no) from None
             for node in (s, t):
                 if not 1 <= node <= node_count:
                     raise InstanceError(f"node {node} outside 1..{node_count}", line_no)
-            if not 0 <= vol < math.inf:
-                raise InstanceError("demand volume must be finite and non-negative", line_no)
             if (s, t) in demand_keys:
                 raise InstanceError(f"duplicate demand {s}->{t}", line_no)
             demand_keys.add((s, t))
-            demands.append(Demand(s, t, vol))
+            demands.append(demand)
         elif directive == "power":
             if len(args) != 3:
                 raise InstanceError("'power' takes exactly three arguments", line_no)
@@ -317,10 +313,10 @@ def load_instance(text: str) -> Instance:
     if node_count is None:
         raise InstanceError("empty instance: no 'nodes' directive", 1)
 
-    topo = Topology.from_undirected_edges(node_count, edges)
+    topo = Topology(node_count, frozenset(edge_lines))
     # a connected graph needs N - 1 fibres; too few refuses a huge node count
     # before the connectivity check builds an adjacency entry per node
-    if len(edges) < node_count - 1 or not topo.is_connected():
+    if len(edge_lines) < node_count - 1 or not topo.is_connected():
         raise InstanceError("graph is disconnected", nodes_line)
     return Instance(topo, tuple(demands), power or PowerParams())
 

@@ -5,8 +5,10 @@ destination cluster is searched separately: for each tuple of its demands'
 candidate pairs, every matching is walked with
 :func:`ncpower.matching.exhaustive_matching`, while the selectors match with
 the blossom algorithm.  ``optimal_matching`` gives each demand a pool of its
-own routed pair, so only the matchings vary; ``optimal_joint`` gives it its
-disjoint-pair candidates.  Pairs are scored by the oracle's own ``pair_value``,
+own routed pair, as ``select_pairs_fixed`` does, so only the matchings vary;
+``optimal_joint`` gives it its disjoint-pair candidates, as
+``select_pairs_osh`` does.  As in the selectors, an unmatched demand keeps
+its pool's head.  Pairs are scored by the oracle's own ``pair_value``,
 independent of the selectors, and weighed in the selectors' exact integer
 volume units, so a fault in the selectors shows up as a disagreement.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .coding import (
     KIND_COMBOS,
@@ -44,6 +46,14 @@ class OracleResult(SelectionResult):
     explored: int  # configurations enumerated (summed over clusters)
 
 
+def require_joint_size(node_count: int):
+    """Refuse a joint search over more than JOINT_NODE_GUARD nodes, before any work."""
+    if node_count > JOINT_NODE_GUARD:
+        raise OracleGuardError(
+            f"joint oracle refuses {node_count}-node instances (limit {JOINT_NODE_GUARD})"
+        )
+
+
 def optimal_matching(
     instance: Instance,
     routing: Iterable[PathPair],
@@ -55,8 +65,8 @@ def optimal_matching(
     cluster separately; ``explored`` sums the enumerated matchings.  Raises
     OracleGuardError when a cluster holds more than 2**20 matchings.
     """
-    pools = {d: [pair] for d, pair in index_routing(instance, routing).items()}
-    return _search(instance, pools, combos)
+    by_demand = index_routing(instance, routing)
+    return _search(instance, combos, lambda d: [by_demand[d]])
 
 
 def optimal_joint(instance: Instance, candidate_budget: int = CANDIDATE_BUDGET) -> OracleResult:
@@ -66,37 +76,34 @@ def optimal_joint(instance: Instance, candidate_budget: int = CANDIDATE_BUDGET) 
     every demand's candidate pool with every per-cluster matching.  Unmatched
     demands keep the head of their pool, the pair ``route_instance`` gives them.
     """
-    n_nodes = instance.topology.node_count
-    if n_nodes > JOINT_NODE_GUARD:
-        raise OracleGuardError(
-            f"joint oracle refuses {n_nodes}-node instances (limit {JOINT_NODE_GUARD})"
-        )
-    pools = {
-        d: disjoint_pair_candidates(instance.topology, d, candidate_budget)
-        for d in instance.demands
-    }
-    return _search(instance, pools, KIND_COMBOS)
+    topology = instance.topology
+    require_joint_size(topology.node_count)
+    return _search(
+        instance, KIND_COMBOS, lambda d: disjoint_pair_candidates(topology, d, candidate_budget)
+    )
 
 
 def _search(
     instance: Instance,
-    pools: dict[Demand, list[PathPair]],
     combos: Sequence[tuple[PathKind, PathKind]],
+    pool_of: Callable[[Demand], list[PathPair]],
 ) -> OracleResult:
     """Every candidate tuple x every matching, per destination cluster.
 
-    Unmatched demands keep the head of their pool.  ``explored`` sums the
+    Each cluster reads its pools from ``pool_of`` when it is searched, and
+    unmatched demands keep the head of their pool.  ``explored`` sums the
     matchings visited; a walk past MATCHING_GUARD matchings raises
     OracleGuardError.
     """
-    final_routing = {d: pool[0] for d, pool in pools.items()}
+    final_routing: dict[Demand, PathPair] = {}
     units = volume_units(instance.demands)
     chosen: list[CodedPair] = []
     explored = 0
 
     for dest, demands in clusters(instance.demands).items():
         n = len(demands)
-        cluster_pools = [pools[d] for d in demands]
+        cluster_pools = [pool_of(d) for d in demands]
+        final_routing.update(zip(demands, (pool[0] for pool in cluster_pools)))
         # each candidate path's link set, built once per cluster
         link_sets = [
             [

@@ -60,7 +60,7 @@ def verdict(capsys, index: int, name: str, ok: bool, detail: str = "") -> None:
 
 def heuristic_savings_pct(instance, routing, combo=None) -> float:
     if combo is None:
-        sel = select_pairs_osh(instance, routing)
+        sel = select_pairs_osh(instance)
     else:
         sel = select_pairs_fixed(instance, routing, combo)
     return eval_with_coding(instance, sel.routing, sel.assignment).savings_fraction * 100
@@ -73,7 +73,7 @@ def test_acceptance_1_mesh_volume_scaling(capsys):
         inst = generate_full_mesh(5, float(volume))
         routing = route_instance(inst)
         conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
-        sel = select_pairs_osh(inst, routing)
+        sel = select_pairs_osh(inst)
         coded = eval_with_coding(inst, sel.routing, sel.assignment).p_total
         joint = optimal_joint(inst)
         oracle = eval_with_coding(inst, joint.routing, joint.assignment).p_total
@@ -97,7 +97,7 @@ def test_acceptance_2_ring_volume_scaling(capsys):
         inst = generate_ring(5, float(volume))
         routing = route_instance(inst)
         conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
-        sel = select_pairs_osh(inst, routing)
+        sel = select_pairs_osh(inst)
         coded = eval_with_coding(inst, sel.routing, sel.assignment).p_total
         joint = optimal_joint(inst)
         oracle = eval_with_coding(inst, joint.routing, joint.assignment).p_total
@@ -172,7 +172,7 @@ def test_acceptance_5_oracle_agreement(capsys, random_instances):
     for build in (generate_full_mesh, generate_ring):
         for n in range(3, 7):
             inst = build(n, 20.0)
-            sel = select_pairs_osh(inst, route_instance(inst))
+            sel = select_pairs_osh(inst)
             achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
             joint = optimal_joint(inst)
             optimum = eval_with_coding(inst, joint.routing, joint.assignment).p_total
@@ -182,7 +182,7 @@ def test_acceptance_5_oracle_agreement(capsys, random_instances):
     gaps = []
     for idx, inst in enumerate(random_instances):
         routing = route_instance(inst)
-        sel = select_pairs_osh(inst, routing)
+        sel = select_pairs_osh(inst)
         oracle = optimal_matching(inst, routing, combos=KIND_COMBOS)
         best = eval_with_coding(inst, oracle.routing, oracle.assignment).p_reduction
         ours = eval_with_coding(inst, sel.routing, sel.assignment).p_reduction
@@ -202,7 +202,7 @@ def test_acceptance_6_bound_validity(capsys, random_instances_uniform):
     violations = []
     for idx, inst in enumerate(random_instances_uniform):
         routing = route_instance(inst)
-        sel = select_pairs_osh(inst, routing)
+        sel = select_pairs_osh(inst)
         achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
         conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
         report = bound_nc(inst, sel.assignment)

@@ -40,7 +40,7 @@ def test_ring5_conventional_bound():
 
 def test_mesh5_bounds_under_optimal_assignment():
     inst = generate_full_mesh(5, 20.0)
-    sel = select_pairs_osh(inst, route_instance(inst))
+    sel = select_pairs_osh(inst)
     report = bound_nc(inst, sel.assignment)
     assert report.nc_lower_per_demand == pytest.approx(16095.0, abs=1e-9)
     assert report.nc_lower_mean_form == pytest.approx(16095.0, abs=1e-9)
@@ -207,7 +207,7 @@ def test_one_destination_slice_meets_closed_form(kind, n):
     # of 128 hops.
     full = (generate_ring if kind == "ring" else generate_full_mesh)(n)
     inst = Instance(full.topology, tuple(d for d in full.demands if d.dest == 1))
-    selection = select_pairs_osh(inst, route_instance(inst))
+    selection = select_pairs_osh(inst)
     shared = sum(pair.shared_hops for pair in selection.assignment.pairs)
     _, _, savings, label = closed_form(kind, n, 20.0)
     hops = n * n * (n - 1) if kind == "ring" else 3 * n * (n - 1)
@@ -225,7 +225,7 @@ def test_bounds_never_exceed_achieved_power():
     for _ in range(10):
         inst = random_survivable_instance(rng, volume=20.0)
         routing = route_instance(inst)
-        sel = select_pairs_osh(inst, routing)
+        sel = select_pairs_osh(inst)
         achieved = eval_with_coding(inst, sel.routing, sel.assignment)
         report = bound_nc(inst, sel.assignment)
         conventional = eval_with_coding(inst, routing, EMPTY_ASSIGNMENT).p_conventional
@@ -249,7 +249,7 @@ POWER_MODELS = (PowerParams(), PowerParams(900.0, 50.0, 100.0))
 
 def test_bounds_equal_exact_reference_under_osh(random_instances):
     for inst in random_instances:
-        sel = select_pairs_osh(inst, route_instance(inst))
+        sel = select_pairs_osh(inst)
         assert sel.assignment.pairs
         report = bound_nc(inst, sel.assignment)
         assert dataclasses.asdict(report) == exact_bounds(inst, sel.assignment)

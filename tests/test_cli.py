@@ -440,6 +440,18 @@ def test_oracle_guard_exit_5():
     assert "joint oracle" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "bounds"])
+def test_oracle_guard_refuses_before_routing(command, monkeypatch, capsys):
+    def route_instance(*args):
+        raise AssertionError("routed an instance the joint oracle refuses")
+
+    monkeypatch.setattr(cli, "route_instance", route_instance)
+    assert cli.main([command, "--gen", "ring:8", "--heuristic", "oracle"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "joint oracle refuses 8-node instances (limit 7)" in captured.err
+
+
 def test_out_writes_single_row_csv(tmp_path):
     out = tmp_path / "report.csv"
     proc = run_cli("analyze", "--gen", "ring:5", "--volume", "20",

@@ -205,7 +205,7 @@ def test_matching_returns_networkx_pairs(monkeypatch):
     inst = Instance(ring.topology, tuple(d for d in ring.demands if d.dest == 1), ring.power)
     cases = []
     monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append((n, weights)) or [])
-    select_pairs_osh(inst, route_instance(inst))
+    select_pairs_osh(inst)
     assert [n for n, _ in cases] == [47]
     assert all(type(w) is int for w in cases[0][1].values())
 
@@ -233,7 +233,7 @@ def test_matching_returns_networkx_pairs_on_other_clusters(monkeypatch):
     cases = []
     monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append((n, weights)) or [])
     for inst in (generate_full_mesh(12, 20.0), corners, load_instance((DATA_DIR / "arbitrary11.net").read_text())):
-        select_pairs_osh(inst, route_instance(inst))
+        select_pairs_osh(inst)
     assert [n for n, _ in cases] == [11, 35, 35, 2]
     assert {w for _, weights in cases[1:3] for w in weights.values()} > {1, 2, 4}
     for n, weights in cases:
@@ -248,7 +248,7 @@ def _doubled_first_demand(inst):
 @pytest.mark.parametrize("inst,select,calls", [
     # every cluster of a uniform full mesh repeats its predecessor's layout
     (generate_full_mesh(12, 20.0), select_pairs_osh, 1),
-    (generate_full_mesh(12, 20.0), lambda inst, routing: select_pairs_fixed(inst, routing, (P, P)), 1),
+    (generate_full_mesh(12, 20.0), lambda inst: select_pairs_fixed(inst, route_instance(inst), (P, P)), 1),
     # no two clusters of a ring number their links alike
     (generate_ring(12, 20.0), select_pairs_osh, 12),
     # 1 -> 2 weighs two units: cluster 2 differs from cluster 1, cluster 3
@@ -258,11 +258,10 @@ def _doubled_first_demand(inst):
 def test_repeated_cluster_layout_is_matched_once(inst, select, calls, monkeypatch):
     # a deterministic work count: a cluster whose masks, mask starts and
     # volume units equal the previous cluster's reuses its matched plan
-    routing = route_instance(inst)
     cases = []
     real = coding.max_weight_pairs
     monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append(n) or real(n, weights))
-    sel = select(inst, routing)
+    sel = select(inst)
     assert len(cases) == calls
     # a reused plan still codes pairs in every cluster
     assert len({pair.first[1] for pair in sel.assignment.pairs}) == 12
@@ -285,7 +284,7 @@ def test_reused_plan_adopts_each_cluster_own_candidates(monkeypatch):
     monkeypatch.setattr(coding, "disjoint_pair_candidates", shifted)
     calls = []
     monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: calls.append(n) or max_weight_matching(n, weights))
-    sel = select_pairs_osh(inst, routing)
+    sel = select_pairs_osh(inst)
     assert calls == [5]
     _assert_equals_reference(inst, sel, pools, KIND_COMBOS)
     assert sel.routing != routing
@@ -326,7 +325,7 @@ def test_matching_leaves_no_garbage(monkeypatch):
     inst = Instance(ring.topology, tuple(d for d in ring.demands if d.dest <= 5), ring.power)
     cases = []
     monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append((n, weights)) or [])
-    select_pairs_osh(inst, route_instance(inst))
+    select_pairs_osh(inst)
     assert [n for n, _ in cases] == [47] * 5
     rng = random.Random(165)
     for n in (9, 20, 31):
@@ -390,7 +389,7 @@ def test_matching_receives_only_positive_weights(monkeypatch):
     cases = []
     monkeypatch.setattr(coding, "max_weight_pairs", lambda n, weights: cases.append(weights) or [])
     routing = route_instance(inst)
-    select_pairs_osh(inst, routing)
+    select_pairs_osh(inst)
     for combo in KIND_COMBOS:
         select_pairs_fixed(inst, routing, combo)
     zero = [d.source for d in demands].index(3)
@@ -559,7 +558,7 @@ def test_fixed_first_kind_applies_to_lower_source():
 
 def test_osh_reaches_mesh_optimum_without_extra_budget():
     inst = generate_full_mesh(4, 20.0)
-    sel = select_pairs_osh(inst, route_instance(inst), candidate_budget=1)
+    sel = select_pairs_osh(inst, candidate_budget=1)
     report = eval_with_coding(inst, sel.routing, sel.assignment)
     assert report.savings_fraction * 100 == pytest.approx(11.1111, abs=5e-4)
 
@@ -573,7 +572,7 @@ def test_osh_reroutes_to_align_protections():
     assert not any(k1 is P and k2 is P for (_, _, k1, k2) in edges)
     assert max(len(shared) for shared in edges.values()) == 3
     # re-routing both protections onto the spare branch shares 4 links instead
-    sel = select_pairs_osh(inst, routing)
+    sel = select_pairs_osh(inst)
     report = eval_with_coding(inst, sel.routing, sel.assignment)
     assert len(sel.assignment.pairs) == 1
     pair = sel.assignment.pairs[0]
@@ -589,7 +588,7 @@ def test_osh_dominates_every_fixed_combo():
     instances += [generate_full_mesh(n, 20.0) for n in (4, 6)]
     for inst in instances:
         routing = route_instance(inst)
-        osh = select_pairs_osh(inst, routing)
+        osh = select_pairs_osh(inst)
         osh_benefit = eval_with_coding(inst, osh.routing, osh.assignment).p_reduction
         for combo in KIND_COMBOS:
             fixed = select_pairs_fixed(inst, routing, combo)
@@ -597,10 +596,11 @@ def test_osh_dominates_every_fixed_combo():
             assert osh_benefit >= fixed_benefit - 1e-9
 
 
-def test_osh_keeps_unmatched_demands_on_caller_routing():
+def test_osh_keeps_unmatched_demands_on_pool_head():
+    # route_instance routes each demand on the head of its candidate pool
     inst = generate_ring(4, 20.0)
     routing = route_instance(inst)
-    sel = select_pairs_osh(inst, routing)
+    sel = select_pairs_osh(inst)
     matched = {d for pair in sel.assignment.pairs for d in (pair.first, pair.second)}
     by_ends = {p.ends: p for p in routing}
     for pair in sel.routing:
@@ -610,9 +610,8 @@ def test_osh_keeps_unmatched_demands_on_caller_routing():
 
 def test_selectors_are_deterministic():
     inst = generate_ring(12, 20.0)
-    routing = route_instance(inst)
-    first = select_pairs_osh(inst, routing)
-    second = select_pairs_osh(inst, routing)
+    first = select_pairs_osh(inst)
+    second = select_pairs_osh(inst)
     assert first.assignment == second.assignment
     assert first.routing == second.routing
 
@@ -665,7 +664,7 @@ def test_selectors_equal_nested_loop_reference():
         routing = route_instance(inst)
         for budget in (1, 2, 8):
             pools = {d: disjoint_pair_candidates(inst.topology, d, budget) for d in inst.demands}
-            sel = select_pairs_osh(inst, routing, budget)
+            sel = select_pairs_osh(inst, budget)
             _assert_equals_reference(inst, sel, pools, KIND_COMBOS)
             rerouted += sel.routing != routing
         own = {d: [pair] for d, pair in zip(inst.demands, routing)}
@@ -676,7 +675,7 @@ def test_selectors_equal_nested_loop_reference():
 
 def _selections(inst):
     routing = route_instance(inst)
-    yield select_pairs_osh(inst, routing)
+    yield select_pairs_osh(inst)
     for combo in KIND_COMBOS:
         yield select_pairs_fixed(inst, routing, combo)
     if inst.topology.node_count <= 7:

@@ -42,7 +42,7 @@ def test_osh_matches_matching_oracle_on_rings(n):
     # over all kind combinations is the true optimum there
     inst = generate_ring(n, 20.0)
     routing = route_instance(inst)
-    sel = select_pairs_osh(inst, routing)
+    sel = select_pairs_osh(inst)
     result = optimal_matching(inst, routing)
     achieved = eval_with_coding(inst, sel.routing, sel.assignment)
     optimum = eval_with_coding(inst, result.routing, result.assignment).p_total
@@ -136,7 +136,7 @@ def test_joint_oracle_never_below_osh():
     for build, n in [(generate_full_mesh, 4), (generate_full_mesh, 5),
                      (generate_ring, 6), (generate_ring, 7)]:
         inst = build(n, 20.0)
-        sel = select_pairs_osh(inst, route_instance(inst))
+        sel = select_pairs_osh(inst)
         achieved = eval_with_coding(inst, sel.routing, sel.assignment)
         result = optimal_joint(inst)
         optimum = eval_with_coding(inst, result.routing, result.assignment).p_total
@@ -148,7 +148,7 @@ def test_osh_equals_joint_oracle_on_random_instances(random_instances):
     # same candidate pools the joint oracle searches exhaustively
     mismatches = []
     for idx, inst in enumerate(random_instances):
-        sel = select_pairs_osh(inst, route_instance(inst))
+        sel = select_pairs_osh(inst)
         achieved = eval_with_coding(inst, sel.routing, sel.assignment).p_total
         result = optimal_joint(inst)
         optimum = eval_with_coding(inst, result.routing, result.assignment).p_total

@@ -57,7 +57,7 @@ def test_ring5_conventional_power():
 
 def test_mesh5_coded_power_at_optimum():
     inst = generate_full_mesh(5, 20.0)
-    sel = select_pairs_osh(inst, route_instance(inst))
+    sel = select_pairs_osh(inst)
     report = eval_with_coding(inst, sel.routing, sel.assignment)
     assert report.p_total == pytest.approx(26825.0, abs=1e-9)
     assert report.savings_fraction == pytest.approx(1 / 6, abs=1e-12)
@@ -108,15 +108,13 @@ def test_power_is_linear_in_volume(scale):
 def test_savings_fraction_is_volume_invariant():
     rng = random.Random(5)
     inst = random_survivable_instance(rng, volume=20.0)
-    routing = route_instance(inst)
-    sel = select_pairs_osh(inst, routing)
+    sel = select_pairs_osh(inst)
     base = eval_with_coding(inst, sel.routing, sel.assignment).savings_fraction
 
     bigger = Instance(
         inst.topology, tuple(Demand(d.source, d.dest, d.volume * 3) for d in inst.demands)
     )
-    routing_b = route_instance(bigger)
-    sel_b = select_pairs_osh(bigger, routing_b)
+    sel_b = select_pairs_osh(bigger)
     assert eval_with_coding(bigger, sel_b.routing, sel_b.assignment).savings_fraction == pytest.approx(
         base, rel=1e-12
     )
@@ -137,7 +135,7 @@ def test_eval_rejects_assignment_off_routing():
 
     inst = load_instance((DATA_DIR / "arbitrary11.net").read_text())
     routing = route_instance(inst)
-    sel = select_pairs_osh(inst, routing)
+    sel = select_pairs_osh(inst)
     assert sel.routing != routing  # pairing here forces a protection re-route
     # so validating the assignment against the *original* routing must fail
     with pytest.raises(ContractError):
@@ -160,7 +158,7 @@ def test_routing_and_assignment_contract(case):
     # routings and coded pairs name demands by endpoints only, so every
     # mismatch with the instance's demands must surface as a ContractError
     inst = generate_ring(5, 20.0)
-    sel = select_pairs_osh(inst, route_instance(inst))
+    sel = select_pairs_osh(inst)
     routing, pairs = sel.routing, sel.assignment.pairs
     paired = pairs[0].second
     unpaired = Instance(
@@ -188,7 +186,7 @@ def test_power_past_the_float_range_is_not_nan():
     # conventional power overflows; the total and savings come from exact sums
     for volume, total in ((1e308, math.inf), (4.1e304, 1.45177e308)):
         inst = generate_ring(6, volume)
-        sel = select_pairs_osh(inst, route_instance(inst))
+        sel = select_pairs_osh(inst)
         report = eval_with_coding(inst, sel.routing, sel.assignment)
         assert report.p_conventional == math.inf
         assert report.p_total == pytest.approx(total, rel=1e-5)
@@ -197,7 +195,7 @@ def test_power_past_the_float_range_is_not_nan():
 
 def test_saving_past_the_float_range_is_inf():
     inst = generate_ring(6, 1e308)
-    sel = select_pairs_osh(inst, route_instance(inst))
+    sel = select_pairs_osh(inst)
     assert eval_with_coding(inst, sel.routing, sel.assignment).p_reduction == math.inf
 
 
@@ -225,7 +223,7 @@ def test_power_past_the_float_range_equals_fraction_reference(volumes, finite):
         Demand(d.source, d.dest, volumes[i % len(volumes)]) for i, d in enumerate(ring.demands)
     )
     inst = Instance(ring.topology, demands, ring.power)
-    sel = select_pairs_osh(inst, route_instance(inst))
+    sel = select_pairs_osh(inst)
     report = eval_with_coding(inst, sel.routing, sel.assignment)
     assert report.p_conventional == math.inf
     assert sel.assignment.pairs

@@ -340,7 +340,8 @@ def test_one_full_graph_bfs_per_node(monkeypatch):
             return real(adjacency, start)
 
         monkeypatch.setattr(module, "bfs_dist", counting)
-    select_pairs_osh(inst, route_instance(inst))
+    route_instance(inst)
+    select_pairs_osh(inst)
     bound_nc(inst)
     for s, t in itertools.permutations(range(1, 13), 2):
         shortest_path(topo, s, t)
@@ -366,7 +367,8 @@ def test_pair_total_searched_once_per_unordered_pair(generate, n, monkeypatch):
         return real(topology, source, dest)
 
     monkeypatch.setattr(routing, "_suurballe_total", counting)
-    select_pairs_osh(inst, route_instance(inst))
+    route_instance(inst)
+    select_pairs_osh(inst)
     assert len(searches) == n * (n - 1) // 2
     assert {frozenset(ends) for ends in searches} == {
         frozenset(ends) for ends in itertools.combinations(range(1, n + 1), 2)
@@ -479,11 +481,6 @@ def test_extending_a_returned_pool_leaves_the_walk():
     pool.append(pool[0])
     assert disjoint_pair_candidates(topo, d, 3) == pool[:3]
     assert len(topo._pair_walks[(1, 16)].pairs) == 3
-    # the selector appends the caller's pair when it is optimal but not pooled
-    inst = model.Instance(topo, (d,))
-    second = disjoint_pair_candidates(topo, d, 2)[1]
-    select_pairs_osh(inst, [second], candidate_budget=1)
-    assert len(topo._pair_walks[(1, 16)].pairs) == 3
     fresh = disjoint_pair_candidates(grid_topology(4, 4), d, 8)
     assert disjoint_pair_candidates(topo, d, 8) == fresh
 
@@ -506,7 +503,8 @@ def test_ring_walk_builds_one_reduced_graph_per_unordered_pair(monkeypatch):
     # the walk runs out below the budget, so its reverse walks nothing
     working_paths = _recording_without_fibres(monkeypatch)
     inst = generate_ring(9)
-    select_pairs_osh(inst, route_instance(inst))
+    route_instance(inst)
+    select_pairs_osh(inst)
     assert len(working_paths) == 9 * 8 // 2
 
 
@@ -563,7 +561,8 @@ def test_route_and_select_peak_memory_on_ring_40():
     inst = generate_ring(40)
     tracemalloc.start()
     try:
-        select_pairs_osh(inst, route_instance(inst))
+        route_instance(inst)
+        select_pairs_osh(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
