@@ -42,6 +42,12 @@ CORPUS = (
     ("bounds", "--gen", "mesh:60"),
     ("sweep", "--gen", "ring:3:16", "--heuristic", "osh,ww,wp,pw,pp"),
     ("sweep", "--gen", "mesh:3:20", "--heuristic", "osh,ww,wp,pw,pp"),
+    # refusals: each exits before any instance is routed
+    ("analyze", "--gen", "ring:2"),
+    ("bounds", "--gen", "ring:2"),
+    ("sweep", "--gen", "ring:2:5"),
+    ("analyze", "--gen", "ring:142"),
+    ("sweep", "--gen", "ring:3:40", "--heuristic", "osh"),
 )
 
 
