@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .coding import CodingAssignment, EMPTY_ASSIGNMENT
 from .errors import ContractError, DomainError, RoutingError
-from .model import Instance, PowerParams, integer_ratios, round_ratio
+from .model import Instance, PowerParams, integer_ratios, require_protectable, round_ratio
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ def bound_nc(instance: Instance, assignment: CodingAssignment = EMPTY_ASSIGNMENT
 def _require_uniform(kind: str, n: int, volume: float):
     if kind not in ("mesh", "ring"):
         raise DomainError(f"kind {kind!r} is neither 'mesh' nor 'ring'")
-    if n < 3:
-        raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
+    require_protectable(n)
     if not 0 <= volume < math.inf:
         raise DomainError(f"volume {volume} must be finite and non-negative")
 

@@ -3,8 +3,9 @@
 Subcommands: analyze (power of one instance), bounds (lower bounds and closed
 forms), sweep (savings across topology sizes), repro (reference CSV tables).
 
-Exit codes: 0 ok, 2 usage, 3 bad instance or one to route past
-EVAL_DEMAND_LIMIT, 4 no survivable routing, 5 oracle guard exceeded.
+Exit codes: 0 ok, 2 usage, 3 bad instance, one to route past
+EVAL_DEMAND_LIMIT or a volume sweep past SWEEP_PRICE_LIMIT, 4 no survivable
+routing, 5 oracle guard exceeded.
 """
 from __future__ import annotations
 
@@ -22,13 +23,7 @@ from .coding import (
     select_pairs_fixed,
     select_pairs_osh,
 )
-from .errors import (
-    DomainError,
-    InstanceError,
-    NcPowerError,
-    OracleGuardError,
-    SurvivabilityError,
-)
+from .errors import InstanceError, NcPowerError, OracleGuardError, SurvivabilityError
 from .model import (
     DEFAULT_VOLUME,
     Demand,
@@ -37,6 +32,7 @@ from .model import (
     generate_full_mesh,
     generate_ring,
     load_instance,
+    require_protectable,
 )
 from .oracle import optimal_joint, require_joint_size
 from .power import PowerReport, eval_with_coding, pair_saving
@@ -53,6 +49,11 @@ EVAL_DEMAND_LIMIT = 20_000
 # demand, and every size of a sweep is an instance to route and select; both
 # refuse more than this many points
 SWEEP_POINT_LIMIT = 10_000
+
+# an analyze --sweep prices every demand at every volume, about 0.25 s per
+# volume on ring:141 (19,740 demands, 2-vCPU VM); it refuses more volumes
+# times demands than this
+SWEEP_PRICE_LIMIT = 2_000_000
 
 POWER_HEADER = ["conventional_w", "total_w", "reduction_w", "savings_pct"]
 
@@ -71,8 +72,8 @@ def _volume_label(volume: float) -> str:
 def _parse_sizes(spec: str, form: str, most: int) -> tuple[str, list[int]]:
     """``spec`` of ``form``, a kind and 1 to ``most`` integers, as ``(kind, integers)``.
 
-    The first integer is a size; below 3 it is refused with the generators'
-    wording, before any demand count is formed from it.
+    The first integer is a size; ``require_protectable`` refuses it below 3,
+    before any demand count is formed from it.
     """
     kind, *parts = spec.split(":")
     if kind not in ("mesh", "ring") or not 1 <= len(parts) <= most:
@@ -81,8 +82,7 @@ def _parse_sizes(spec: str, form: str, most: int) -> tuple[str, list[int]]:
         numbers = [int(p) for p in parts]
     except ValueError:
         raise InstanceError(f"generator spec {spec!r}: sizes must be integers") from None
-    if numbers[0] < 3:
-        raise DomainError(f"n={numbers[0]}: 1+1 protection is undefined below 3 nodes")
+    require_protectable(numbers[0])
     return kind, numbers
 
 
@@ -93,11 +93,12 @@ def _parse_gen(spec: str) -> tuple[str, int]:
 
 
 def _require_evaluable(what: str, demands: int):
-    """Refuse an instance of more than EVAL_DEMAND_LIMIT demands before it is routed."""
+    """Refuse to route more than EVAL_DEMAND_LIMIT demands, before any is routed."""
     if demands > EVAL_DEMAND_LIMIT:
         raise InstanceError(
-            f"{what} has {demands} demands, more than the {EVAL_DEMAND_LIMIT} "
-            f"that are routed and evaluated (EVAL_DEMAND_LIMIT); bounds answers any size"
+            f"{what} has {demands} demands, more than the {EVAL_DEMAND_LIMIT} that are "
+            f"routed and evaluated (EVAL_DEMAND_LIMIT); bounds, and sweep without "
+            f"--heuristic, answer at any size"
         )
 
 
@@ -291,6 +292,12 @@ def _cmd_analyze(args) -> int:
             raise InstanceError("--volume and --sweep cannot be combined: the sweep sets every volume")
         volumes = _sweep_volumes(args.sweep)
         instance = _build_instance(args, None)
+        demands = len(instance.demands)
+        if len(volumes) * demands > SWEEP_PRICE_LIMIT:
+            raise InstanceError(
+                f"--sweep {args.sweep} prices {len(volumes)} volumes x {demands} demands, "
+                f"more than {SWEEP_PRICE_LIMIT} (SWEEP_PRICE_LIMIT); narrow the sweep"
+            )
         rows = [
             [_volume_label(volume)] + _power_row(report)
             for volume, [report] in _volume_reports(instance, volumes, [args.heuristic], args.budget)
@@ -384,12 +391,7 @@ def _cmd_sweep(args) -> int:
         demands = 0
         for n in sizes:
             demands += n * (n - 1)
-            if demands > EVAL_DEMAND_LIMIT:
-                raise InstanceError(
-                    f"sweep {args.gen} reaches {demands} demands by size {n}, more than the "
-                    f"{EVAL_DEMAND_LIMIT} that are routed and evaluated (EVAL_DEMAND_LIMIT); "
-                    f"narrow the sweep or drop the heuristic columns"
-                )
+            _require_evaluable(f"sweep {args.gen} up to size {n}", demands)
         if "oracle" in heuristics:
             require_joint_size(sizes[-1])
     if sizes[SWEEP_POINT_LIMIT:]:  # not len(), which overflows past sys.maxsize sizes

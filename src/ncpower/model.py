@@ -189,32 +189,33 @@ class Instance:
             seen.add(key)
 
 
-def _all_pairs_demands(n: int, volume: float) -> tuple[Demand, ...]:
-    return tuple(
-        Demand(s, t, volume) for s in range(1, n + 1) for t in range(1, n + 1) if s != t
-    )
+def require_protectable(n: int):
+    """Refuse a size of fewer than 3 nodes, where 1+1 protection is undefined."""
+    if n < 3:
+        raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
+
+
+def _all_pairs(n: int, fibres: Iterable[Edge], volume: float, power: PowerParams) -> Instance:
+    """n nodes joined by ``fibres`` (read after the size check), uniform all-pairs demands."""
+    require_protectable(n)
+    nodes = range(1, n + 1)
+    demands = tuple(Demand(s, t, volume) for s in nodes for t in nodes if s != t)
+    return Instance(Topology.from_undirected_edges(n, fibres), demands, power)
 
 
 def generate_full_mesh(
     n: int, volume: float = DEFAULT_VOLUME, power: PowerParams = PowerParams()
 ) -> Instance:
     """Full mesh on n >= 3 nodes with a uniform all-pairs demand set."""
-    if n < 3:
-        raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    topo = Topology.from_undirected_edges(n, edges)
-    return Instance(topo, _all_pairs_demands(n, volume), power)
+    fibres = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    return _all_pairs(n, fibres, volume, power)
 
 
 def generate_ring(
     n: int, volume: float = DEFAULT_VOLUME, power: PowerParams = PowerParams()
 ) -> Instance:
     """Bidirectional ring 1-2-...-n-1 with a uniform all-pairs demand set."""
-    if n < 3:
-        raise DomainError(f"n={n}: 1+1 protection is undefined below 3 nodes")
-    edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    topo = Topology.from_undirected_edges(n, edges)
-    return Instance(topo, _all_pairs_demands(n, volume), power)
+    return _all_pairs(n, ((i, i % n + 1) for i in range(1, n + 1)), volume, power)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ the blossom algorithm.  ``optimal_matching`` gives each demand a pool of its
 own routed pair, as ``select_pairs_fixed`` does, so only the matchings vary;
 ``optimal_joint`` gives it its disjoint-pair candidates, as
 ``select_pairs_osh`` does.  As in the selectors, an unmatched demand keeps
-its pool's head.  Pairs are scored by the oracle's own ``pair_value``,
-independent of the selectors, and weighed in the selectors' exact integer
-volume units, so a fault in the selectors shows up as a disagreement.
+its pool's head.  Pairs are scored by the oracle's own link-set
+intersections, independent of the selectors, and weighed in the selectors'
+exact integer volume units, so a fault in the selectors shows up as a
+disagreement.
 
 Both return a selection, as the selectors do, plus the number of matchings
 explored; ``power.eval_with_coding`` prices it like a selector's.
@@ -113,27 +114,20 @@ def _search(
             for pool in cluster_pools
         ]
 
-        # links shared by pair (i, j) when i uses candidate ci and j uses cj:
-        # the most over ``combos``, the first of equal counts
-        def pair_value(i, ci, j, cj):
-            best_shared: frozenset | None = None
-            best_combo = None
-            for combo in combos:
-                shared = link_sets[i][ci][combo[0]] & link_sets[j][cj][combo[1]]
-                if best_shared is None or len(shared) > len(best_shared):
-                    best_shared = shared
-                    best_combo = combo
-            return best_shared, best_combo
-
-        # (i, ci, j, cj) -> shared links, kind combo and volume-unit weight
-        values: dict[tuple[int, int, int, int], tuple[frozenset, tuple, int]] = {}
+        # (i, ci, j, cj) -> links shared when i uses candidate ci and j uses
+        # cj, the first combo sharing the most and the volume-unit weight
+        values: dict[tuple[int, int, int, int], tuple[int, tuple, int]] = {}
         for i, j in itertools.combinations(range(n), 2):
             unit = min(units[demands[i]], units[demands[j]])
-            for ci in range(len(cluster_pools[i])):
-                for cj in range(len(cluster_pools[j])):
-                    shared, combo = pair_value(i, ci, j, cj)
+            for ci, links_i in enumerate(link_sets[i]):
+                for cj, links_j in enumerate(link_sets[j]):
+                    shared, combo = max(
+                        ((len(links_i[a] & links_j[b]), (a, b)) for a, b in combos),
+                        key=lambda hit: hit[0],
+                        default=(0, None),
+                    )
                     if shared:
-                        values[(i, ci, j, cj)] = (shared, combo, unit * len(shared))
+                        values[(i, ci, j, cj)] = (shared, combo, unit * shared)
 
         best_value = 0
         best_pick: tuple[tuple[int, ...], list[tuple[int, int]]] | None = None
@@ -161,7 +155,7 @@ def _search(
                 shared, combo, _ = values[(i, cand_idx[i], j, cand_idx[j])]
                 final_routing[d1] = first = cluster_pools[i][cand_idx[i]]
                 final_routing[d2] = second = cluster_pools[j][cand_idx[j]]
-                chosen.append(CodedPair(first.ends, second.ends, combo[0], combo[1], len(shared)))
+                chosen.append(CodedPair(first.ends, second.ends, combo[0], combo[1], shared))
 
     routing = tuple(final_routing[d] for d in instance.demands)
     return OracleResult(CodingAssignment(tuple(chosen)), routing, explored)

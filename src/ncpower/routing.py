@@ -78,21 +78,15 @@ class PathPair:
 def shortest_path(topology: Topology, source: int, dest: int) -> tuple[int, ...]:
     """Lexicographically smallest minimum-hop path from source to dest.
 
-    It follows the topology's hop-distance table to dest downhill, taking the
-    smallest neighbour one hop closer at each step.
+    It is the first path of at most the minimum hop count that the lex-ordered
+    walk meets; the walk yields no path from a node to itself, which is
+    ``(source,)``.
     """
     dist_to_dest = topology.distances_to(dest)
     if source not in dist_to_dest:
         raise RoutingError(f"node {dest} is unreachable from node {source}")
-    nodes = [source]
-    while nodes[-1] != dest:
-        here = nodes[-1]
-        # adjacency is sorted, so the first admissible neighbour is the smallest
-        for nb in topology.adjacency[here]:
-            if dist_to_dest.get(nb, -1) == dist_to_dest[here] - 1:
-                nodes.append(nb)
-                break
-    return tuple(nodes)
+    walk = _simple_paths_upto(topology.adjacency, dist_to_dest, source, dest, dist_to_dest[source])
+    return next(walk, (source,))
 
 
 @dataclass(slots=True)

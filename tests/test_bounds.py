@@ -105,8 +105,9 @@ def test_ring100_case():
 def test_closed_forms_reject_tiny_sizes():
     for kind in ("mesh", "ring"):
         for n in (2, 1):
-            with pytest.raises(DomainError, match="below 3 nodes"):
-                closed_form(kind, n, 20.0)
+            for form in (closed_form, uniform_bound):
+                with pytest.raises(DomainError, match="below 3 nodes"):
+                    form(kind, n, 20.0)
 
 
 def test_large_size_limits():

@@ -12,7 +12,13 @@ import pytest
 from conftest import DATA_DIR, grid_topology
 
 from ncpower import cli, coding
-from ncpower.cli import EVAL_DEMAND_LIMIT, SWEEP_POINT_LIMIT, _require_evaluable, _sweep_volumes
+from ncpower.cli import (
+    EVAL_DEMAND_LIMIT,
+    SWEEP_POINT_LIMIT,
+    SWEEP_PRICE_LIMIT,
+    _require_evaluable,
+    _sweep_volumes,
+)
 from ncpower.errors import InstanceError
 from ncpower.model import Demand, Instance, bfs_dist, generate_ring, serialize_instance
 
@@ -153,6 +159,7 @@ def test_sizes_below_3_exit_3_before_demands_are_counted(capsys):
     # a negative size must not pass the demand guard as N(N-1) demands
     for argv, size in (
         (["analyze", "--gen", "ring:-200"], -200),
+        (["bounds", "--gen", "ring:2"], 2),
         (["analyze", "--gen", "mesh:-141", "--sweep", "1:2:1"], -141),
         (["sweep", "--gen", "ring:-300:3", "--heuristic", "osh"], -300),
     ):
@@ -398,6 +405,22 @@ def test_oversized_volume_sweep_exit_3():
     assert len(_sweep_volumes(f"1:{SWEEP_POINT_LIMIT}:1")) == SWEEP_POINT_LIMIT
     with pytest.raises(InstanceError):
         _sweep_volumes(f"1:{SWEEP_POINT_LIMIT + 1}:1")
+
+
+def test_volume_sweep_price_guard(monkeypatch, capsys):
+    # every volume prices every demand: 10,000 volumes of ring:141 pass both
+    # the point and the demand limit but would run for about 40 min, so the
+    # product is refused after the instance is built and before it is routed
+    monkeypatch.setattr(cli, "route_instance", _refuse_generation)
+    for volumes in (10000, 102):
+        assert cli.main(["analyze", "--gen", "ring:141", "--sweep", f"1:{volumes}:1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{volumes} volumes x 19740 demands" in captured.err
+        assert f"more than {SWEEP_PRICE_LIMIT}" in captured.err
+    # 101 x 19,740 = 1,993,740 prices, inside the limit, reach routing
+    with pytest.raises(_Generated):
+        cli.main(["analyze", "--gen", "ring:141", "--sweep", "1:101:1"])
 
 
 def test_bad_instance_file_exit_3(tmp_path):

@@ -69,6 +69,16 @@ def test_shortest_path_prefers_lexicographic():
     assert shortest_path(topo, 1, 2) == (1, 3, 2)
 
 
+def test_shortest_path_is_lex_smallest_of_all_shortest_paths():
+    graphs = [Topology.from_undirected_edges(5, edges) for edges in connected_graphs(5)]
+    graphs += [grid_topology(rows, cols) for rows in (3, 4) for cols in (3, 4, 5)]
+    for topo in graphs:
+        graph = nx.Graph(topo.undirected_edges)
+        for s, t in itertools.permutations(range(1, topo.node_count + 1), 2):
+            expected = min(nx.all_shortest_paths(graph, s, t))
+            assert shortest_path(topo, s, t) == tuple(expected), (sorted(graph.edges), s, t)
+
+
 def test_shortest_path_unreachable():
     topo = Topology.from_undirected_edges(4, [(1, 2), (3, 4)])
     with pytest.raises(RoutingError, match="unreachable"):
