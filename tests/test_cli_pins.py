@@ -5,7 +5,10 @@ coded-pair listings, bounds reports above N = 15, a mixed-volume mesh and a
 grid-corners instance, so a tie-break that moves a pair but keeps the
 savings fails here.  ``tests/data/cli_pins.json`` stores each output in full
 when it is at most FULL_TEXT_LIMIT characters, so a failure shows a diff, and
-as its SHA-256 digest and line count when it is longer.
+as its SHA-256 digest and line count when it is longer.  Every call runs
+with ``COLUMNS=80``, so help and usage text wrap alike on any terminal; that
+text is argparse's and its wording differs between Python versions, so the
+help and usage pins hold for the Python they were written on (3.11.7).
 
 To rewrite the pins after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_pins.py``.
@@ -14,10 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import DATA_DIR, grid_topology
@@ -48,6 +53,41 @@ CORPUS = (
     ("sweep", "--gen", "ring:2:5"),
     ("analyze", "--gen", "ring:142"),
     ("sweep", "--gen", "ring:3:40", "--heuristic", "osh"),
+    ("analyze", "--gen", "ring:5", "--power", "1,2"),
+    ("bounds", "--gen", "ring:5", "--power", "a,b,c"),
+    ("analyze", "--gen", "ring:x"),
+    ("bounds", "--gen", "star:5"),
+    ("analyze", "--gen", "ring:5", "--sweep", "1:2"),
+    ("analyze", "--gen", "ring:5", "--sweep", "a:b:c"),
+    ("analyze", "--gen", "ring:5", "--sweep", "1:inf:1"),
+    ("analyze", "--gen", "ring:5", "--sweep", "5:1:1"),
+    ("analyze", "--gen", "ring:5", "--sweep", "0:1e9:1"),
+    ("analyze", "--gen", "ring:5", "--volume", "20", "--sweep", "20:40:20"),
+    ("sweep", "--gen", "ring:5:3"),
+    ("bounds", "--gen", "ring:5", "--budget", "0"),
+    # help: argparse prints it and exits 0
+    ("-h",),
+    ("analyze", "-h"),
+    ("bounds", "-h"),
+    ("sweep", "-h"),
+    ("repro", "-h"),
+    ("-h", "bounds"),
+    # usage errors: argparse exits 2
+    ("analyze",),
+    ("sweep",),
+    ("repro",),
+    (),
+    ("bogus",),
+    ("--gen", "ring:5", "bounds"),
+    ("bounds", "--gen", "ring:5", "extra"),
+    ("repro", "ring-sizes", "extra"),
+    ("analyze", "--gen", "ring:5", "--instance", "x.net"),
+    ("analyze", "--gen", "ring:5", "--heuristic", "bogus"),
+    ("bounds", "--gen", "ring:5", "--volume", "many"),
+    ("analyze", "--gen", "ring:5", "--budget", "two"),
+    ("sweep", "--gen", "ring:3:5", "--budget", "1.5"),
+    ("bounds", "--gen"),
+    ("repro", "bogus"),
 )
 
 
@@ -93,8 +133,11 @@ def _outputs(argv: tuple[str, ...], workdir: Path) -> dict:
             arg = str(path)
         args.append(arg)
     out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(args)
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse printed help or a usage error
+            code = exc.code
     return {"argv": list(argv), "exit": code, "stdout": _pin(out.getvalue()), "stderr": _pin(err.getvalue())}
 
 
@@ -102,7 +145,7 @@ def _pinned() -> list[dict]:
     return json.loads(PINS.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("index", range(len(CORPUS)), ids=[" ".join(a) for a in CORPUS])
+@pytest.mark.parametrize("index", range(len(CORPUS)), ids=[" ".join(a) or "(none)" for a in CORPUS])
 def test_cli_outputs_match_pins(index, tmp_path):
     assert _outputs(CORPUS[index], tmp_path) == _pinned()[index]
 
