@@ -10,6 +10,7 @@ routing, 5 oracle guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path as FilePath
@@ -455,70 +456,43 @@ def _add_instance_flags(parser: argparse.ArgumentParser, gen_required: bool = Fa
     )
 
 
-def _analyze_flags(parser: argparse.ArgumentParser):
-    _add_instance_flags(parser)
-    parser.add_argument("--heuristic", choices=HEURISTICS, default="osh")
-    parser.add_argument("--sweep", help="volume sweep start:stop:step (emits CSV)")
-    parser.add_argument("--out", help="write CSV here instead of stdout")
-    parser.set_defaults(func=_cmd_analyze)
-
-
-def _bounds_flags(parser: argparse.ArgumentParser):
-    _add_instance_flags(parser)
-    parser.add_argument("--heuristic", choices=HEURISTICS, default="osh")
-    parser.set_defaults(func=_cmd_bounds)
-
-
-def _sweep_flags(parser: argparse.ArgumentParser):
-    _add_instance_flags(parser, gen_required=True)
-    parser.add_argument("--heuristic", default="", help="comma-separated heuristic columns")
-    parser.add_argument("--out", help="write CSV here instead of stdout")
-    parser.set_defaults(func=_cmd_sweep)
-
-
-def _repro_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("table", choices=sorted(REPRO_TABLES))
-    parser.add_argument("--out", help="write CSV here instead of stdout")
-    parser.set_defaults(func=_cmd_repro)
-
-
-# each command's help line and the filler that adds its flags and its handler
-COMMANDS = {
-    "analyze": ("evaluate power for one instance", _analyze_flags),
-    "bounds": ("print lower bounds and closed forms", _bounds_flags),
-    "sweep": ("savings across topology sizes", _sweep_flags),
-    "repro": ("emit a reference table", _repro_flags),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser, with only ``command``'s sub-parser when it names one.
-
-    Building every sub-parser costs more than a ``bounds`` query, so ``main``
-    builds the one its argv names.  Any other ``command`` builds them all, so
-    the top-level help and errors list every command.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and kept."""
     parser = argparse.ArgumentParser(
         prog="ncpower",
         description="Power analysis of 1+1-protected networks with XOR-coded protection",
     )
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    # a lone sub-parser would list only its own name in the top-level usage
-    # (printed on an extra argument), so it takes the full tree's list as its
-    # metavar; the full tree needs none, and one would rename "argument
-    # command" in its missing and unknown command errors
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, fill = COMMANDS[name]
-        fill(sub.add_parser(name, help=help_text))
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_analyze = sub.add_parser("analyze", help="evaluate power for one instance")
+    _add_instance_flags(p_analyze)
+    p_analyze.add_argument("--heuristic", choices=HEURISTICS, default="osh")
+    p_analyze.add_argument("--sweep", help="volume sweep start:stop:step (emits CSV)")
+    p_analyze.add_argument("--out", help="write CSV here instead of stdout")
+    p_analyze.set_defaults(func=_cmd_analyze)
+
+    p_bounds = sub.add_parser("bounds", help="print lower bounds and closed forms")
+    _add_instance_flags(p_bounds)
+    p_bounds.add_argument("--heuristic", choices=HEURISTICS, default="osh")
+    p_bounds.set_defaults(func=_cmd_bounds)
+
+    p_sweep = sub.add_parser("sweep", help="savings across topology sizes")
+    _add_instance_flags(p_sweep, gen_required=True)
+    p_sweep.add_argument("--heuristic", default="", help="comma-separated heuristic columns")
+    p_sweep.add_argument("--out", help="write CSV here instead of stdout")
+    p_sweep.set_defaults(func=_cmd_sweep)
+
+    p_repro = sub.add_parser("repro", help="emit a reference table")
+    p_repro.add_argument("table", choices=sorted(REPRO_TABLES))
+    p_repro.add_argument("--out", help="write CSV here instead of stdout")
+    p_repro.set_defaults(func=_cmd_repro)
+
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # repro takes no --budget; every other command refuses one below 1
         # before it builds an instance, whether or not a selector reads it
