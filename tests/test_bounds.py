@@ -12,8 +12,8 @@ from conftest import exact_bounds, random_survivable_instance, shared_hops_by_de
 
 from ncpower.bounds import BoundReport, bound_nc, closed_form, uniform_bound
 from ncpower.coding import EMPTY_ASSIGNMENT, CodedPair, CodingAssignment, PathKind, select_pairs_osh
-from ncpower.errors import ContractError, DomainError
-from ncpower.model import Demand, Instance, PowerParams, generate_full_mesh, generate_ring
+from ncpower.errors import ContractError, DomainError, RoutingError
+from ncpower.model import Demand, Instance, PowerParams, Topology, generate_full_mesh, generate_ring
 from ncpower.power import eval_with_coding
 from ncpower.routing import route_instance
 
@@ -61,6 +61,8 @@ def test_bounds_with_empty_assignment_collapse_to_conventional():
     assert report.nc_lower_mean_form == pytest.approx(report.conventional_lower, rel=1e-12)
     shared = shared_hops_by_demand(EMPTY_ASSIGNMENT)
     assert all(shared.get((d.source, d.dest), 0) == 0 for d in inst.demands)
+    # with no demands every bound is zero
+    assert bound_nc(Instance(inst.topology, ())) == BoundReport(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_bounds_refuse_a_pair_of_a_demand_the_instance_lacks():
@@ -71,6 +73,13 @@ def test_bounds_refuse_a_pair_of_a_demand_the_instance_lacks():
     lacking = Instance(inst.topology, (Demand(1, 3, 20.0),))
     with pytest.raises(ContractError, match="unknown demand 2->3"):
         bound_nc(lacking, stranger)
+
+
+
+def test_bounds_refuse_an_unreachable_destination():
+    split = Topology.from_undirected_edges(4, [(1, 2), (3, 4)])
+    with pytest.raises(RoutingError, match="node 3 is unreachable from node 1"):
+        bound_nc(Instance(split, (Demand(1, 3, 20.0),)))
 
 
 def test_mesh_closed_forms():

@@ -51,6 +51,8 @@ def test_topology_rejects_self_loop_and_bad_range():
         Topology.from_undirected_edges(3, [(1, 1)])
     with pytest.raises(DomainError):
         Topology.from_undirected_edges(3, [(1, 4)])
+    with pytest.raises(DomainError, match="at least one node"):
+        Topology(0, frozenset())
 
 
 def test_topology_stores_each_fibre_once():
@@ -73,6 +75,9 @@ def test_demand_validation():
     with pytest.raises(DomainError):
         Demand(1, 2, -1.0)
     assert Demand(1, 2, 0.0).volume == 0.0  # zero traffic is allowed
+    triangle = Topology.from_undirected_edges(3, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(DomainError, match="unknown node 4"):
+        Instance(triangle, (Demand(1, 4, 5.0),))
 
 
 def test_instance_rejects_duplicate_demands():
@@ -126,6 +131,13 @@ def test_load_instance_arbitrary11():
         ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\npower 1e308 1e308 1\n", 5, "slope"),
         ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\npower 1000 73 1e-310\n", 5, "slope"),
         ("", 1, "no 'nodes'"),
+        ("nodes 3 4\n", 1, "'nodes' takes exactly one argument"),
+        ("nodes 0\n", 1, "must be positive"),
+        ("nodes 3\nedge 1\n", 2, "'edge' takes exactly two arguments"),
+        ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\ndemand 1 2\n", 5, "'demand' takes exactly three"),
+        ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\ndemand 1 4 5\n", 5, "node 4 outside 1..3"),
+        ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\npower 1 2\n", 5, "'power' takes exactly three"),
+        ("nodes 3\nedge 1 2\nedge 2 3\nedge 1 3\npower 1000 73 40\npower 1000 73 40\n", 6, "duplicate 'power'"),
     ],
 )
 def test_load_instance_errors_name_lines(text, line, fragment):
