@@ -458,7 +458,11 @@ def _add_instance_flags(parser: argparse.ArgumentParser, gen_required: bool = Fa
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call and kept."""
+    """The parser of every command, built on the first call and then reused.
+
+    ``main`` parses every call with it, and building it costs more than a
+    ``bounds`` query.
+    """
     parser = argparse.ArgumentParser(
         prog="ncpower",
         description="Power analysis of 1+1-protected networks with XOR-coded protection",

@@ -75,7 +75,6 @@ def test_bounds_refuse_a_pair_of_a_demand_the_instance_lacks():
         bound_nc(lacking, stranger)
 
 
-
 def test_bounds_refuse_an_unreachable_destination():
     split = Topology.from_undirected_edges(4, [(1, 2), (3, 4)])
     with pytest.raises(RoutingError, match="node 3 is unreachable from node 1"):
